@@ -36,7 +36,7 @@ class WeightSystem:
         weights = tuple(sorted(a))
         if len(weights) != 5:
             raise ValueError(f"expected 5 weights, got {len(weights)}")
-        if any(not isinstance(w, int) or w < 1 for w in weights):
+        if any(not isinstance(w, int) or isinstance(w, bool) or w < 1 for w in weights):
             raise ValueError(f"weights must be positive integers, got {weights}")
         object.__setattr__(self, "a", weights)
 
@@ -58,7 +58,7 @@ class Candidate:
     def __init__(self, weights: WeightSystem | Iterable[int], d1: int, d2: int):
         if not isinstance(weights, WeightSystem):
             weights = WeightSystem(weights)
-        if any(not isinstance(d, int) or d < 1 for d in (d1, d2)):
+        if any(not isinstance(d, int) or isinstance(d, bool) or d < 1 for d in (d1, d2)):
             raise ValueError(f"degrees must be positive integers, got {(d1, d2)}")
         if d1 > d2:
             d1, d2 = d2, d1

@@ -18,7 +18,7 @@ the given bounds whose verdict is del Pezzo:
   a4 in closed form instead of scanning it; these generators only ever
   produce supersets of the survivors, and every candidate they emit is still
   fully re-classified, so they cannot introduce false positives.  A plain
-  scanning generator (`reference` shaped mode) backs the fast path in the
+  scanning generator, ``_candidates_reference``, backs the fast path in the
   differential tests.
 
 Work is partitioned into disjoint (a0, a1, a2) prefix ranges; workers share
@@ -29,7 +29,6 @@ count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import gcd
 from multiprocessing import Pool
 from typing import Callable, Iterator, Sequence
@@ -39,12 +38,12 @@ import numpy as np
 from . import families
 from .classifier import Candidate, del_pezzo_quick
 from .families import FamilyMatch
-from .quasismooth import _singleton_ok
+from .quasismooth import _COVERING_EF, _singleton_ok
+from .wellformed import _GCD_CONDITIONS, SINGLE_GCD, _gcd_violated
 
 MODE_SHAPED = "shaped"
 MODE_EXHAUSTIVE = "exhaustive"
-_MODE_SHAPED_REFERENCE = "shaped-reference"  # internal, for differential tests
-_MODES = (MODE_SHAPED, MODE_EXHAUSTIVE, _MODE_SHAPED_REFERENCE)
+_MODES = (MODE_SHAPED, MODE_EXHAUSTIVE)
 
 EXHAUSTIVE_A4_LIMIT = 60
 
@@ -57,6 +56,8 @@ class Bounds:
     max_d2: int
 
     def __post_init__(self):
+        if any(not isinstance(v, int) or isinstance(v, bool) for v in (self.max_a4, self.max_d2)):
+            raise ValueError(f"bounds must be integers, got {(self.max_a4, self.max_d2)}")
         if self.max_a4 < 1:
             raise ValueError(f"max_a4 must be >= 1, got {self.max_a4}")
         if self.max_d2 < 2:
@@ -81,23 +82,6 @@ class EnumerationResult:
     solutions: tuple[Candidate, ...]
     sporadic: tuple[Candidate, ...]
     family_instances: tuple[tuple[Candidate, tuple[FamilyMatch, ...]], ...]
-
-
-def degree_shapes(weights: Sequence[int]) -> list[tuple[int, int]]:
-    """The deduplicated degree pairs a del Pezzo candidate can carry.
-
-    Every quasi-smooth non-cone candidate with amplitude >= 1 has (d1, d2)
-    among these fifteen patterns; equal weights collapse some of them.
-    """
-    a0, a1, a2, a3, a4 = weights
-    pairs = {
-        (a0 + a4, a1 + a4), (a0 + a4, a2 + a4), (a1 + a4, a2 + a4),
-        (a0 + a4, a3 + a4), (a1 + a4, a3 + a4), (a2 + a4, a3 + a4),
-        (a0 + a3, 2 * a4), (a1 + a3, 2 * a4), (a2 + a3, 2 * a4),
-        (a0 + a4, 2 * a4), (a1 + a4, 2 * a4), (a2 + a4, 2 * a4),
-        (2 * a3, 2 * a4), (a3 + a4, 2 * a4), (2 * a4, 2 * a4),
-    }
-    return sorted(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -180,12 +164,22 @@ def _shape_rows(a0: int, a1: int, a2: int, a3: int):
     )
 
 
+def degree_shapes(weights: Sequence[int]) -> list[tuple[int, int]]:
+    """The deduplicated degree pairs a del Pezzo candidate can carry.
+
+    Every quasi-smooth non-cone candidate with amplitude >= 1 has (d1, d2)
+    among the fifteen patterns of ``_shape_rows``; equal weights collapse
+    some of them.
+    """
+    a0, a1, a2, a3, a4 = weights
+    return sorted({(c1 + k1 * a4, c2 + k2 * a4) for k1, c1, k2, c2 in _shape_rows(a0, a1, a2, a3)})
+
+
 def _mod_sols(k: int, r: int, m: int):
     """Residues x (mod m) with k*x == r (mod m); None means every x.
 
     Only k in {-1, 0, 1, 2} occurs (degree patterns are at most 2*a4 plus a
-    constant), so each case has a closed form; a generic solver is kept for
-    safety.
+    constant), so each case has a closed form.
     """
     r %= m
     if k == 1:
@@ -201,15 +195,7 @@ def _mod_sols(k: int, r: int, m: int):
             return ()
         half = m // 2
         return (r // 2, r // 2 + half)
-    k %= m
-    if k == 0:
-        return None if r == 0 else ()
-    g = gcd(k, m)
-    if r % g:
-        return ()
-    m2 = m // g
-    x0 = (r // g) * pow(k // g, -1, m2) % m2
-    return tuple(x0 + t * m2 for t in range(g))
+    raise ValueError(f"unsupported coefficient {k}")
 
 
 def _side_residues(kappa: int, c: int, subs: tuple[int, int, int, int], m: int):
@@ -281,13 +267,6 @@ class _ResidueTable:
         else:
             both = r1 & r2
         return both | set(div1) | set(div2)
-
-
-_TWO_OF_THREE = ((0, 1), (0, 2), (1, 2))
-# Ordered pairs (E, F) of two-element position sets covering {0, 1, 2}.
-_COVERING_EF = tuple(
-    (E, F) for E in _TWO_OF_THREE for F in _TWO_OF_THREE if len({*E, *F}) == 3
-)
 
 
 def _top_pair_member(c: int, a3: int):
@@ -450,12 +429,12 @@ def _exhaustive_tuple_solutions(w: tuple[int, ...], max_d2: int) -> list[tuple[i
     few survivors are re-classified exactly.
     """
     total = sum(w)
-    for i in range(5):
-        g = 0
-        for j in range(5):
-            if j != i:
-                g = gcd(g, w[j])
-        if g != 1:
+    # Single omissions close the table and are weight-only: refute them
+    # before building any grid.
+    for kind, kept in reversed(_GCD_CONDITIONS):
+        if kind != SINGLE_GCD:
+            break
+        if gcd(*(w[k] for k in kept)) != 1:
             return []
     dmax = min(max_d2, total - 2)
     if dmax < 1:
@@ -480,16 +459,12 @@ def _exhaustive_tuple_solutions(w: tuple[int, ...], max_d2: int) -> list[tuple[i
         multi1 = (b1 & (b1 - 1)) != 0
         pair_ok = (multi1 & (b2 != 0)) | ((b1 != 0) & ((b2 & ~b1) != 0))
         mask &= div[:, None] | div[None, :] | pair_ok
-    for omitted in combinations(range(5), 3):
-        rest = [w[x] for x in range(5) if x not in omitted]
-        b = gcd(rest[0], rest[1])
-        if b > 1:
-            mask &= (d1g % b == 0) | (d2g % b == 0)
-    for omitted in combinations(range(5), 2):
-        rest = [w[x] for x in range(5) if x not in omitted]
-        b = gcd(gcd(rest[0], rest[1]), rest[2])
-        if b > 1:
-            mask &= (d1g % b == 0) & (d2g % b == 0)
+    for kind, kept in _GCD_CONDITIONS:
+        if kind == SINGLE_GCD:
+            break
+        b = gcd(*(w[k] for k in kept))
+        if b != 1:
+            mask &= ~_gcd_violated(kind, b, d1g, d2g)
     sols = []
     for i1, i2 in np.argwhere(mask):
         d1 = int(d[i1])
@@ -515,8 +490,7 @@ def _solve_chunk(args: tuple) -> list[tuple[int, ...]]:
     max_a4, max_d2, mode, start, stop = args
     if mode == MODE_EXHAUSTIVE:
         return _solve_exhaustive_chunk(max_a4, max_d2, start, stop)
-    generator = _candidates_fast if mode == MODE_SHAPED else _candidates_reference
-    return _solve_shaped_chunk(max_a4, max_d2, start, stop, generator)
+    return _solve_shaped_chunk(max_a4, max_d2, start, stop, _candidates_fast)
 
 
 def enumerate_solutions(
@@ -545,13 +519,8 @@ def enumerate_solutions(
 
     total = prefix_count(bounds.max_a4)
     n_chunks = max(1, min(total, max(jobs * 16, 64)))
-    base, extra = divmod(total, n_chunks)
-    chunk_args = []
-    pos = 0
-    for j in range(n_chunks):
-        size = base + (1 if j < extra else 0)
-        chunk_args.append((bounds.max_a4, bounds.max_d2, mode, pos, pos + size))
-        pos += size
+    chunk_args = [(bounds.max_a4, bounds.max_d2, mode, r.start, r.stop)
+                  for r in partition(bounds, n_chunks)]
 
     raw: list[tuple[int, ...]] = []
     done = 0

@@ -19,7 +19,8 @@ of the listed weights and {k, l, m} for the complement of a pair {i, j}:
 
 In (b) and (c) the shift index e ranges over all five coordinates; a shift
 that goes negative simply fails membership.  ``check_qs`` reports every
-failing subset, ``is_quasi_smooth`` short-circuits for enumeration loops.
+failing subset; ``classifier.del_pezzo_quick`` short-circuits over the same
+predicates for enumeration loops.
 """
 
 from __future__ import annotations
@@ -37,8 +38,14 @@ SINGLETON = "singleton"
 PAIR = "pair"
 TRIPLE = "triple"
 
-# Two-element subsets of a 3-element complement, as positions 0..2.
-_TWO_SUBSETS = ((0, 1), (0, 2), (1, 2))
+# Ordered pairs (E, F) of two-element position sets within a three-element
+# complement whose union covers all three positions: branch (d).
+_COVERING_EF = tuple(
+    (E, F)
+    for E in combinations(range(3), 2)
+    for F in combinations(range(3), 2)
+    if len({*E, *F}) == 3
+)
 
 # High-weight subsets are the most selective; test them first.  Index 3
 # leads: degree patterns born at the top weight rarely fail index 4.
@@ -114,14 +121,9 @@ def _pair_ok(a: tuple[int, ...], d1: int, d2: int, i: int, j: int) -> bool:
     comp = tuple(k for k in range(5) if k != i and k != j)
     m1 = tuple(mem(d1 - a[e]) for e in comp)
     m2 = tuple(mem(d2 - a[f]) for f in comp)
-    for E in _TWO_SUBSETS:
-        if not (m1[E[0]] and m1[E[1]]):
-            continue
-        for F in _TWO_SUBSETS:
-            if len({*E, *F}) != 3:
-                continue
-            if m2[F[0]] and m2[F[1]]:
-                return True
+    for E, F in _COVERING_EF:
+        if m1[E[0]] and m1[E[1]] and m2[F[0]] and m2[F[1]]:
+            return True
     return False
 
 
@@ -173,56 +175,35 @@ def qs_triple(candidate: "Candidate", k: int, l: int, m: int) -> bool:
     return _triple_ok(candidate.weights.a, candidate.d1, candidate.d2, k, l, m)
 
 
+# One detail template per level, formatted with the failing indices ``i``
+# and their weights ``w``.
+_SINGLE_DETAIL = (
+    "a[{i[0]}]={w[0]} divides neither degree and no shifted pair "
+    "(d1-a_e, d2-a_f) with e != f lands in its span"
+)
+_PAIR_DETAIL = (
+    "no branch places the degrees in <a[{i[0]}], a[{i[1]}]> = "
+    "<{w[0]}, {w[1]}>, with or without single or paired shifts"
+)
+_TRIPLE_DETAIL = "neither degree configuration lands in <{w[0]}, {w[1]}, {w[2]}>"
+
+
 def check_qs(candidate: "Candidate") -> QsReport:
-    """Evaluate all 5 + 10 + 10 subset conditions and list every failure."""
+    """Evaluate all 5 + 10 + 10 subset conditions and list every failure,
+    each level in canonical (lexicographic) subset order."""
     a = candidate.weights.a
     d1, d2 = candidate.d1, candidate.d2
     violations = []
-    for i in range(5):
-        if not _singleton_ok(a, d1, d2, i):
-            violations.append(
-                QsViolation(
-                    SINGLETON,
-                    (i,),
-                    f"a[{i}]={a[i]} divides neither degree and no shifted pair "
-                    f"(d1-a_e, d2-a_f) with e != f lands in its span",
-                )
-            )
-    for i, j in combinations(range(5), 2):
-        if not _pair_ok(a, d1, d2, i, j):
-            violations.append(
-                QsViolation(
-                    PAIR,
-                    (i, j),
-                    f"no branch places the degrees in <a[{i}], a[{j}]> = "
-                    f"<{a[i]}, {a[j]}>, with or without single or paired shifts",
-                )
-            )
-    for k, l, m in combinations(range(5), 3):
-        if not _triple_ok(a, d1, d2, k, l, m):
-            violations.append(
-                QsViolation(
-                    TRIPLE,
-                    (k, l, m),
-                    f"neither degree configuration lands in "
-                    f"<{a[k]}, {a[l]}, {a[m]}>",
-                )
-            )
+    for level, order, ok, detail in (
+        (SINGLETON, [(i,) for i in _SINGLE_ORDER], _singleton_ok, _SINGLE_DETAIL),
+        (PAIR, _PAIR_ORDER, _pair_ok, _PAIR_DETAIL),
+        (TRIPLE, _TRIPLE_ORDER, _triple_ok, _TRIPLE_DETAIL),
+    ):
+        for idx in sorted(order):
+            if not ok(a, d1, d2, *idx):
+                w = tuple(a[x] for x in idx)
+                violations.append(QsViolation(level, idx, detail.format(i=idx, w=w)))
     return QsReport(passed=not violations, violations=tuple(violations))
-
-
-def is_quasi_smooth(a: tuple[int, int, int, int, int], d1: int, d2: int) -> bool:
-    """Short-circuiting boolean variant over a raw sorted weight tuple."""
-    for i in _SINGLE_ORDER:
-        if not _singleton_ok(a, d1, d2, i):
-            return False
-    for i, j in _PAIR_ORDER:
-        if not _pair_ok(a, d1, d2, i, j):
-            return False
-    for k, l, m in _TRIPLE_ORDER:
-        if not _triple_ok(a, d1, d2, k, l, m):
-            return False
-    return True
 
 
 def degrees_in_span(candidate: "Candidate") -> bool:

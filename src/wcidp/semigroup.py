@@ -4,9 +4,9 @@ The semigroup spanned by positive integers g_1, ..., g_p is the set of all
 non-negative integer combinations sum(u_i * g_i).  Membership questions of
 this kind drive every quasi-smoothness test, and gcds of weight subsets drive
 every well-formedness test.  All values in play are tiny (degrees stay below
-a few thousand in any search this package runs), so membership is decided by
-bounded nested loops; a cached reachability bitmap serves the enumeration hot
-path without changing any answer.
+a few thousand in any search this package runs), so membership is read from
+a cached reachability bitmap; ``contains`` reduces larger values to it by
+the gcd of the generators and Schur's bound on the Frobenius number.
 """
 
 from __future__ import annotations
@@ -31,31 +31,23 @@ def contains(generators: Iterable[int], value: int) -> bool:
 
     Negative values are never representable; zero always is (the empty
     combination).  Duplicate generators are allowed and irrelevant.
+
+    Dividing out g = gcd of the generators leaves coprime generators
+    a_1 < ... < a_n, whose Frobenius number is at most (a_1 - 1)(a_n - 1) - 1
+    (Schur's bound, Brauer 1942); every reduced value >= a_1 * a_n is
+    therefore a member, and only smaller ones are looked up in the bitmap.
     """
-    gens = sorted(set(_checked_generators(generators)))
+    gens = _checked_generators(generators)
     if value < 0:
         return False
-    if value == 0:
-        return True
-    smallest = gens[0]
-    rest = gens[1:]
-
-    # Nested bounded loops over the coefficients of every generator except
-    # the smallest, then a divisibility check on the remainder.
-    def reachable(remainder: int, idx: int) -> bool:
-        if remainder % smallest == 0:
-            return True
-        if idx == len(rest):
-            return False
-        g = rest[idx]
-        r = remainder
-        while r >= 0:
-            if reachable(r, idx + 1):
-                return True
-            r -= g
+    g = gcd(*gens)
+    if value % g:
         return False
-
-    return reachable(value, 0)
+    reduced = tuple(sorted({x // g for x in gens}))
+    value //= g
+    if value >= reduced[0] * reduced[-1]:
+        return True
+    return member(reduced, value, value)
 
 
 _BITMAP_CACHE_SIZE = 1 << 15
@@ -63,8 +55,8 @@ _BITMAP_CACHE_SIZE = 1 << 15
 
 @lru_cache(maxsize=_BITMAP_CACHE_SIZE)
 def reachable_bitmap(generators: tuple[int, ...], limit: int) -> int:
-    """Bitmap of representable values: bit v is set iff ``contains(generators, v)``
-    for 0 <= v <= limit.
+    """Bitmap of representable values: bit v is set iff v is a non-negative
+    integer combination of the generators, for 0 <= v <= limit.
 
     Cached per (generator tuple, limit); the cache only accelerates repeated
     queries and has no observable effect on results.  Safe under fork-based

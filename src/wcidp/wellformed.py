@@ -9,9 +9,9 @@ hold on the weight subsets:
   divides both d1 and d2;
 * for every omitted single index, the remaining four weights are coprime.
 
-``check_wf`` reports every violated sub-condition; ``is_well_formed`` is the
-short-circuiting variant used inside enumeration loops.  Both always agree on
-the boolean outcome.
+``_GCD_CONDITIONS`` lists the 25 sub-conditions once; ``check_wf`` reports
+every violated one, ``is_well_formed`` short-circuits inside enumeration
+loops, and the exhaustive search turns each into a mask over its degree grid.
 """
 
 from __future__ import annotations
@@ -21,14 +21,31 @@ from itertools import combinations
 from math import gcd
 from typing import TYPE_CHECKING
 
-from .semigroup import subset_gcd
-
 if TYPE_CHECKING:  # pragma: no cover
     from .classifier import Candidate
 
 TRIPLE_GCD = "triple-gcd"
 PAIR_GCD = "pair-gcd"
 SINGLE_GCD = "single-gcd"
+
+# Every sub-condition as (kind, indices of the weights kept), in report
+# order: omitted triples, pairs, then singles, each in lexicographic order.
+_GCD_CONDITIONS = tuple(
+    (kind, tuple(k for k in range(5) if k not in omitted))
+    for kind, size in ((TRIPLE_GCD, 3), (PAIR_GCD, 2), (SINGLE_GCD, 1))
+    for omitted in combinations(range(5), size)
+)
+
+
+def _gcd_violated(kind: str, b: int, d1, d2):
+    """Whether the gcd ``b`` of the kept weights breaks a condition of
+    ``kind``; the degrees may be numpy grids, which gives an elementwise mask.
+    """
+    if kind == SINGLE_GCD:
+        return b != 1
+    off1 = d1 % b != 0
+    off2 = d2 % b != 0
+    return off1 | off2 if kind == PAIR_GCD else off1 & off2
 
 
 @dataclass(frozen=True)
@@ -64,41 +81,21 @@ def check_wf(candidate: "Candidate") -> WfReport:
     a = candidate.weights.a
     d1, d2 = candidate.d1, candidate.d2
     violations = []
-    for omitted in combinations(range(5), 3):
-        b = subset_gcd(a, omitted)
-        if d1 % b != 0 and d2 % b != 0:
-            violations.append(WfViolation(TRIPLE_GCD, omitted, b))
-    for omitted in combinations(range(5), 2):
-        b = subset_gcd(a, omitted)
-        if d1 % b != 0 or d2 % b != 0:
-            violations.append(WfViolation(PAIR_GCD, omitted, b))
-    for i in range(5):
-        b = subset_gcd(a, (i,))
-        if b != 1:
-            violations.append(WfViolation(SINGLE_GCD, (i,), b))
+    for kind, kept in _GCD_CONDITIONS:
+        b = gcd(*(a[k] for k in kept))
+        if _gcd_violated(kind, b, d1, d2):
+            omitted = tuple(i for i in range(5) if i not in kept)
+            violations.append(WfViolation(kind, omitted, b))
     return WfReport(passed=not violations, violations=tuple(violations))
 
 
 def is_well_formed(a: tuple[int, int, int, int, int], d1: int, d2: int) -> bool:
     """Short-circuiting boolean variant over a raw sorted weight tuple."""
     # Single omissions first: they are weight-only and the cheapest to refute.
-    for i in range(5):
-        g = 0
-        for j in range(5):
-            if j != i:
-                g = gcd(g, a[j])
-        if g != 1:
-            return False
-    for i, j in combinations(range(5), 2):
-        g = 0
-        for k in range(5):
-            if k != i and k != j:
-                g = gcd(g, a[k])
-        if g != 1 and (d1 % g != 0 or d2 % g != 0):
-            return False
-    for omitted in combinations(range(5), 3):
-        rest = [a[k] for k in range(5) if k not in omitted]
-        g = gcd(rest[0], rest[1])
-        if g != 1 and d1 % g != 0 and d2 % g != 0:
+    for kind, kept in reversed(_GCD_CONDITIONS):
+        b = 0
+        for k in kept:
+            b = gcd(b, a[k])
+        if b != 1 and _gcd_violated(kind, b, d1, d2):
             return False
     return True

@@ -82,6 +82,13 @@ def test_degenerate_inputs_are_constructor_errors():
         Candidate((1, 1, 1, 1, 1), 2, -3)
     with pytest.raises(ValueError):
         Candidate.of(1, 1, 1, 1, 1, 2)
+    # bool is an int subclass but not an integer input.
+    with pytest.raises(ValueError):
+        Candidate.of(True, 1, 1, 1, 1, 2, 2)
+    with pytest.raises(ValueError):
+        Candidate((1, 1, 1, 1, 1), True, 2)
+    with pytest.raises(ValueError):
+        WeightSystem((1, 1, 1, 1, True))
 
 
 def test_weight_system_is_iterable_and_indexable():

@@ -32,10 +32,55 @@ def test_check_degenerate_input_is_usage_error(capsys):
     assert "usage error" in err
 
 
+SINGLE_TAIL = "divides neither degree and no shifted pair (d1-a_e, d2-a_f) with e != f lands in its span"
+PAIR_TAIL = "with or without single or paired shifts"
+
+
 def test_check_explain_prints_witnesses(capsys):
     code, out, _ = run(capsys, "check", "--explain", "1", "2", "2", "5", "5", "6", "7")
     assert code == 3
-    assert "wf triple-gcd omitted=[0, 1, 2]: gcd=5" in out
+    assert out.splitlines() == [
+        "rejected: not well-formed; not quasi-smooth (I=2)",
+        "  wf triple-gcd omitted=[0, 1, 2]: gcd=5",
+        "  qs pair indices=[3, 4]: no branch places the degrees in <a[3], a[4]> = <5, 5>, " + PAIR_TAIL,
+    ]
+    # Fails all three gcd kinds and all three membership levels; every
+    # failure is listed, in canonical subset order.
+    code, out, _ = run(capsys, "check", "--explain", "4", "5", "6", "8", "10", "17", "19")
+    assert code == 3
+    assert out.splitlines() == [
+        "rejected: not well-formed; not quasi-smooth; amplitude -3 < 1 (I=-3)",
+        "  wf triple-gcd omitted=[0, 1, 2]: gcd=2",
+        "  wf triple-gcd omitted=[0, 1, 3]: gcd=2",
+        "  wf triple-gcd omitted=[0, 1, 4]: gcd=2",
+        "  wf triple-gcd omitted=[0, 2, 3]: gcd=5",
+        "  wf triple-gcd omitted=[1, 2, 3]: gcd=2",
+        "  wf triple-gcd omitted=[1, 2, 4]: gcd=4",
+        "  wf triple-gcd omitted=[1, 3, 4]: gcd=2",
+        "  wf pair-gcd omitted=[0, 1]: gcd=2",
+        "  wf pair-gcd omitted=[1, 2]: gcd=2",
+        "  wf pair-gcd omitted=[1, 3]: gcd=2",
+        "  wf pair-gcd omitted=[1, 4]: gcd=2",
+        "  wf single-gcd omitted=[1]: gcd=2",
+        "  qs singleton indices=[0]: a[0]=4 " + SINGLE_TAIL,
+        "  qs singleton indices=[1]: a[1]=5 " + SINGLE_TAIL,
+        "  qs singleton indices=[2]: a[2]=6 " + SINGLE_TAIL,
+        "  qs singleton indices=[3]: a[3]=8 " + SINGLE_TAIL,
+        "  qs singleton indices=[4]: a[4]=10 " + SINGLE_TAIL,
+        "  qs pair indices=[0, 2]: no branch places the degrees in <a[0], a[2]> = <4, 6>, " + PAIR_TAIL,
+        "  qs pair indices=[0, 3]: no branch places the degrees in <a[0], a[3]> = <4, 8>, " + PAIR_TAIL,
+        "  qs pair indices=[0, 4]: no branch places the degrees in <a[0], a[4]> = <4, 10>, " + PAIR_TAIL,
+        "  qs pair indices=[1, 3]: no branch places the degrees in <a[1], a[3]> = <5, 8>, " + PAIR_TAIL,
+        "  qs pair indices=[1, 4]: no branch places the degrees in <a[1], a[4]> = <5, 10>, " + PAIR_TAIL,
+        "  qs pair indices=[2, 3]: no branch places the degrees in <a[2], a[3]> = <6, 8>, " + PAIR_TAIL,
+        "  qs pair indices=[2, 4]: no branch places the degrees in <a[2], a[4]> = <6, 10>, " + PAIR_TAIL,
+        "  qs pair indices=[3, 4]: no branch places the degrees in <a[3], a[4]> = <8, 10>, " + PAIR_TAIL,
+        "  qs triple indices=[0, 2, 3]: neither degree configuration lands in <4, 6, 8>",
+        "  qs triple indices=[0, 2, 4]: neither degree configuration lands in <4, 6, 10>",
+        "  qs triple indices=[0, 3, 4]: neither degree configuration lands in <4, 8, 10>",
+        "  qs triple indices=[1, 3, 4]: neither degree configuration lands in <5, 8, 10>",
+        "  qs triple indices=[2, 3, 4]: neither degree configuration lands in <6, 8, 10>",
+    ]
 
 
 def test_check_nonempty_note(capsys):

@@ -9,6 +9,7 @@ from wcidp.enumerator import (
     _candidates_fast,
     _candidates_reference,
     _iter_prefixes,
+    _solve_shaped_chunk,
     degree_shapes,
     enumerate_solutions,
     partition,
@@ -21,11 +22,23 @@ def keys(result):
     return [c.key for c in result.solutions]
 
 
+def reference_keys(max_a4, max_d2):
+    """Shaped search over the whole prefix space with the plain generator."""
+    raw = _solve_shaped_chunk(max_a4, max_d2, 0, prefix_count(max_a4), _candidates_reference)
+    return sorted(set(raw))
+
+
 def test_bounds_validation():
     with pytest.raises(ValueError):
         Bounds(0, 10)
     with pytest.raises(ValueError):
         Bounds(3, 1)
+    with pytest.raises(ValueError):
+        Bounds(True, 2)
+    with pytest.raises(ValueError):
+        Bounds(3, 6.0)
+    with pytest.raises(ValueError):
+        Bounds("3", 6)
 
 
 def test_degree_shapes_collapse_and_contents():
@@ -64,14 +77,14 @@ def test_known_rows_at_bounds_7_12():
 def test_modes_agree_at_small_bounds():
     for A, D in [(6, 12), (8, 10), (10, 20), (12, 24)]:
         fast = keys(enumerate_solutions(Bounds(A, D), mode="shaped"))
-        ref = keys(enumerate_solutions(Bounds(A, D), mode="shaped-reference"))
+        ref = reference_keys(A, D)
         exh = keys(enumerate_solutions(Bounds(A, D), mode="exhaustive"))
         assert fast == ref == exh, (A, D)
 
 
 def test_fast_generator_matches_reference_at_medium_bounds():
     fast = keys(enumerate_solutions(Bounds(30, 60), mode="shaped"))
-    ref = keys(enumerate_solutions(Bounds(30, 60), mode="shaped-reference"))
+    ref = reference_keys(30, 60)
     assert fast == ref
 
 

@@ -9,7 +9,6 @@ from wcidp.classifier import Candidate
 from wcidp.quasismooth import (
     check_qs,
     degrees_in_span,
-    is_quasi_smooth,
     qs_pair,
     qs_singleton,
     qs_triple,
@@ -137,15 +136,6 @@ def test_report_lists_every_failing_subset():
         assert (("pair", (i, j)) in failing) == (not qs_pair(c, i, j))
     for k, l, m in combinations(range(5), 3):
         assert (("triple", (k, l, m)) in failing) == (not qs_triple(c, k, l, m))
-
-
-def test_short_circuit_variant_agrees_with_report():
-    rng = random.Random(23)
-    for _ in range(250):
-        a = tuple(sorted(rng.randint(1, 9) for _ in range(5)))
-        d1 = rng.randint(1, 24)
-        d2 = rng.randint(d1, 28)
-        assert is_quasi_smooth(a, d1, d2) == check_qs(Candidate(a, d1, d2)).passed
 
 
 def test_degree_span_note_is_advisory_only():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wcidp import semigroup
 from wcidp.semigroup import (
     contains,
     member,
@@ -67,13 +68,31 @@ def test_contains_agrees_with_dp_oracle_random_sets():
             assert contains(gens, v) == table[v], (gens, v)
 
 
-def test_bitmap_member_agrees_with_contains():
+def test_bitmap_member_agrees_with_dp_oracle():
     rng = random.Random(91)
     for _ in range(80):
         k = rng.randint(1, 4)
         gens = tuple(rng.randint(1, 30) for _ in range(k))
+        table = dp_reachable(gens, 200)
         for v in range(-3, 200):
-            assert member(gens, v, 200) == contains(gens, v), (gens, v)
+            assert member(gens, v, 200) == (v >= 0 and table[v]), (gens, v)
+
+
+def test_contains_never_builds_a_bitmap_proportional_to_the_value(monkeypatch):
+    real = semigroup.reachable_bitmap
+
+    def spy(generators, limit):
+        if limit > 1024:
+            raise AssertionError(f"bitmap of {limit} bits requested")
+        return real(generators, limit)
+
+    monkeypatch.setattr(semigroup, "reachable_bitmap", spy)
+    assert contains((3, 5), 10**12) is True
+    assert contains((6, 10, 15), 10**12 + 1) is True
+    assert contains((4, 6), 10**12 + 1) is False
+    # Values below the reduced Schur bound still go through the bitmap.
+    assert contains((6, 10), 14) is False
+    assert contains((6, 10), 16) is True
 
 
 @settings(max_examples=200, deadline=None)
