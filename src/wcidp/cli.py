@@ -194,7 +194,7 @@ def cmd_families(args) -> int:
             return USAGE
         try:
             reason = families.invalid_reason(spec.id, params)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             print(f"usage error: {exc}", file=sys.stderr)
             return USAGE
         if reason is not None:
@@ -209,7 +209,11 @@ def cmd_families(args) -> int:
         except ValueError as exc:
             print(f"usage error: {exc}", file=sys.stderr)
             return USAGE
-        matches = families.match_tuple(c)
+        try:
+            matches = families.match_tuple(c)
+        except OverflowError as exc:
+            print(f"usage error: {exc}", file=sys.stderr)
+            return USAGE
         for m in matches:
             params = " ".join(f"{k}={v}" for k, v in m.assignment)
             print(f"id={m.family_id} {params}")

@@ -11,6 +11,14 @@ Expressions are evaluated over exact rationals so that constraints like
 does not come out an integer simply fails the constraint, and a weight
 formula that does not come out an integer invalidates the assignment.
 
+Every parameter must be readable off the tuple: in some order, each one
+occurs with degree 1 in a weight or degree formula once the earlier ones are
+fixed (in this catalog: a0, a1 or b0, b1 from the first two weights, then
+nu from a later weight; or t alone).  Loading a
+series derives this order from the parsed formulas and rejects a series that
+has none, as it rejects disallowed syntax; ``match_tuple`` follows it to solve
+for the one candidate assignment per series instead of searching.
+
 Beyond the printed constraints, a valid assignment must instantiate to
 positive ascending weights with degrees d1 <= d2.  Small parameters can break
 the printed ascending order, and re-sorting would silently change which
@@ -51,6 +59,7 @@ def _exact_gcd(x: Fraction, y: Fraction) -> Fraction:
 
 
 def _compile_expr(text: str, names: Iterable[str]):
+    """Validate one catalog expression; return its syntax tree and code."""
     tree = ast.parse(text, mode="eval")
     allowed_names = set(names) | _ALLOWED_CALLS
     for node in ast.walk(tree):
@@ -63,7 +72,62 @@ def _compile_expr(text: str, names: Iterable[str]):
                 raise ValueError(f"disallowed call in {text!r}")
         if isinstance(node, ast.Constant) and not isinstance(node.value, int):
             raise ValueError(f"non-integer constant in {text!r}")
-    return compile(tree, f"<family:{text}>", "eval")
+    return tree, compile(tree, f"<family:{text}>", "eval")
+
+
+def _degree(node: ast.AST, var: str, known: set[str]) -> int | None:
+    """Polynomial degree of an expression in ``var`` once the ``known`` names
+    are fixed; None when it is not such a polynomial (it names an unknown
+    parameter, divides by ``var``, or puts ``var`` inside ``%``, gcd or max)."""
+    if isinstance(node, ast.Expression):
+        return _degree(node.body, var, known)
+    if isinstance(node, ast.Constant):
+        return 0
+    if isinstance(node, ast.Name):
+        return 1 if node.id == var else 0 if node.id in known else None
+    if isinstance(node, ast.UnaryOp):
+        return _degree(node.operand, var, known)
+    if isinstance(node, ast.BinOp):
+        left, right = _degree(node.left, var, known), _degree(node.right, var, known)
+        if left is None or right is None:
+            return None
+        if isinstance(node.op, (ast.Add, ast.Sub)):
+            return max(left, right)
+        if isinstance(node.op, ast.Mult):
+            return left + right
+        if isinstance(node.op, ast.Div) and right == 0:
+            return left
+        return 0 if left == right == 0 else None
+    if isinstance(node, ast.Call):
+        return 0 if all(_degree(arg, var, known) == 0 for arg in node.args) else None
+    return None
+
+
+def _solve_plan(
+    family_id: int, parameters: tuple[str, ...], formulas: list[ast.Expression]
+) -> tuple[tuple[str, int], ...]:
+    """The order in which a tuple determines the parameters: (parameter,
+    formula index) pairs, each formula of degree 1 in its parameter once the
+    earlier ones are fixed.  Raises ValueError when no such order exists."""
+    known: set[str] = set()
+    plan = []
+    while len(plan) < len(parameters):
+        for name in parameters:
+            if name in known:
+                continue
+            index = next(
+                (i for i, tree in enumerate(formulas) if _degree(tree, name, known) == 1), None
+            )
+            if index is not None:
+                break
+        else:
+            unsolved = [name for name in parameters if name not in known]
+            raise ValueError(
+                f"family {family_id}: no weight or degree formula is linear in {unsolved}"
+            )
+        plan.append((name, index))
+        known.add(name)
+    return tuple(plan)
 
 
 _EVAL_GLOBALS = {"__builtins__": {}, "gcd": _exact_gcd, "max": max}
@@ -82,13 +146,14 @@ class FamilySpec:
     _codes: dict = field(compare=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
+        formulas = [_compile_expr(e, self.parameters) for e in self.weights + self.degrees]
         codes = {
-            "weights": tuple(_compile_expr(e, self.parameters) for e in self.weights),
-            "degrees": tuple(_compile_expr(e, self.parameters) for e in self.degrees),
-            "amplitude": _compile_expr(self.amplitude, self.parameters),
+            "formulas": tuple(code for _, code in formulas),
+            "amplitude": _compile_expr(self.amplitude, self.parameters)[1],
             "constraints": tuple(
-                (text, _compile_expr(text, self.parameters)) for text in self.constraints
+                (text, _compile_expr(text, self.parameters)[1]) for text in self.constraints
             ),
+            "plan": _solve_plan(self.id, self.parameters, [tree for tree, _ in formulas]),
         }
         object.__setattr__(self, "_codes", codes)
 
@@ -177,7 +242,7 @@ def _instance_or_reason(
         except _NonIntegral:
             return None, text
     values = []
-    for expr, code in zip(spec.weights + spec.degrees, spec._codes["weights"] + spec._codes["degrees"]):
+    for expr, code in zip(spec.weights + spec.degrees, spec._codes["formulas"]):
         v = eval(code, _EVAL_GLOBALS, env)
         if v.denominator != 1:
             return None, f"{expr} is not an integer"
@@ -243,7 +308,7 @@ def verify_amplitude_column(family_id: int, samples: Iterable[Mapping[str, int]]
 
 
 def _a4_value(spec: FamilySpec, params: Mapping[str, int]) -> Fraction:
-    return eval(spec._codes["weights"][4], _EVAL_GLOBALS, _frac_env(spec, params))
+    return eval(spec._codes["formulas"][4], _EVAL_GLOBALS, _frac_env(spec, params))
 
 
 def _assignments_up_to(spec: FamilySpec, max_a4: int) -> Iterator[tuple[dict[str, int], tuple[int, ...]]]:
@@ -285,19 +350,52 @@ def _assignments_up_to(spec: FamilySpec, max_a4: int) -> Iterator[tuple[dict[str
                     yield params, key
 
 
+def _solve(spec: FamilySpec, target: tuple[int, ...]) -> dict[str, int] | None:
+    """The only assignment of ``spec`` whose formulas can give ``target``, or
+    None when a parameter solves to anything but a positive integer or the
+    solved assignment misses another entry of the target."""
+    env: dict[str, Fraction] = {}
+    for name, index in spec._codes["plan"]:
+        code = spec._codes["formulas"][index]
+        env[name] = Fraction(0)
+        f0 = eval(code, _EVAL_GLOBALS, env)
+        env[name] = Fraction(1)
+        slope = eval(code, _EVAL_GLOBALS, env) - f0
+        if slope == 0:
+            known = {k: int(v) for k, v in env.items() if k != name}
+            raise RuntimeError(
+                f"family {spec.id}: {(spec.weights + spec.degrees)[index]!r} "
+                f"does not depend on {name} at {known}"
+            )
+        value = (target[index] - f0) / slope
+        if value.denominator != 1 or value < 1:
+            return None
+        env[name] = value
+    # A cheap early out; match_tuple's call to _instance_or_reason is the exact check.
+    if any(eval(code, _EVAL_GLOBALS, env) != t for code, t in zip(spec._codes["formulas"], target)):
+        return None
+    return {name: int(v) for name, v in env.items()}
+
+
 def match_tuple(candidate: Candidate) -> list[FamilyMatch]:
     """Every (series, assignment) pair reproducing the candidate exactly.
 
-    Complete by bounded search: each parameter of a valid instance is at most
-    a4 + 2, and instance a4 grows strictly with each parameter.
+    Complete by an exact solve: each series' plan reads its parameters one at
+    a time off tuple entries whose formulas are linear in them, so at most one
+    assignment per series can reproduce the candidate.  That assignment is
+    re-checked against every constraint and the whole tuple, so a match is
+    never reported falsely and the cost does not grow with a4.
     """
     target = candidate.key
     matches = []
     for spec in CATALOG:
-        for params, key in _assignments_up_to(spec, target[4]):
-            if key == target:
-                matches.append(FamilyMatch(spec.id, tuple(sorted(params.items()))))
-    matches.sort(key=lambda m: (m.family_id, m.assignment))
+        params = _solve(spec, target)
+        if params is None:
+            continue
+        key, _ = _instance_or_reason(spec, params)
+        if key == target:
+            matches.append(FamilyMatch(spec.id, tuple(sorted(params.items()))))
+    # CATALOG is sorted by id and each series matches at most once.
     return matches
 
 

@@ -197,6 +197,29 @@ def test_families_match_sporadic_tuple(capsys):
     assert "no family matches" in out
 
 
+def test_families_match_at_large_a4(capsys):
+    code, out, _ = run(capsys, "families", "match",
+                       "1", "1", "100000", "100000", "199999", "200000", "200000")
+    assert code == 0
+    assert out.strip() == "id=15 t=100000"
+
+
+def test_families_instantiate_overflow_is_usage_error(capsys):
+    code, out, err = run(capsys, "families", "instantiate", "15", f"t={1 << 63}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: family 15 instance exceeds 64-bit range")
+
+
+def test_families_match_overflow_is_usage_error(capsys):
+    t = 1 << 63
+    entries = (1, 1, t, t, 2 * t - 1, 2 * t, 2 * t)
+    code, out, err = run(capsys, "families", "match", *map(str, entries))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: family 15 instance exceeds 64-bit range")
+
+
 def test_verify_small_bounds_pass(capsys):
     code, out, _ = run(capsys, "verify", "--max-a4", "7", "--max-d2", "12")
     assert code == 0

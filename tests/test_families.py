@@ -1,5 +1,6 @@
 """Series catalog: constraints, instantiation, matching, frozen assets."""
 
+import csv
 import json
 from importlib import resources
 
@@ -108,15 +109,78 @@ def test_frozen_sample_asset_regenerates_identically():
         assert assignments == families.smallest_assignments(fid, 10)
 
 
+def _golden_rows():
+    text = resources.files("wcidp").joinpath("data/sporadic_catalog.csv").read_text()
+    rows = csv.DictReader(text.splitlines())
+    return [tuple(int(r[k]) for k in ("a0", "a1", "a2", "a3", "a4", "d1", "d2")) for r in rows]
+
+
+def _neighbours(key):
+    """Every canonical tuple one entry away from ``key`` by +-1."""
+    for i in range(7):
+        for step in (-1, 1):
+            values = list(key)
+            values[i] += step
+            if values[i] >= 1:
+                yield Candidate.of(*values)
+
+
 def test_instances_within_agrees_with_match_tuple():
-    table = families.instances_within(12, 24)
+    # The enumeration scans every assignment; match_tuple solves for one per
+    # series.  Agreement on the box, on the sporadic table and on near misses
+    # shows the solve misses nothing the scan finds and invents nothing.
+    table = families.instances_within(60, 120)
+    assert len(table) == 721
     for key, matches in table.items():
         c = Candidate(key[:5], key[5], key[6])
         assert list(matches) == families.match_tuple(c), key
-    # and a known sporadic tuple is absent
-    assert (1, 2, 2, 3, 3, 4, 6) not in table
+    golden = _golden_rows()
+    assert len(golden) == 92
+    for row in golden:
+        assert row not in table
+        assert families.match_tuple(Candidate.of(*row)) == [], row
+    for key in table:
+        if key[4] > 20:
+            continue
+        for c in _neighbours(key):
+            assert c.key[4] <= 60 and c.key[6] <= 120
+            assert families.match_tuple(c) == list(table.get(c.key, ())), c.key
+
+
+@pytest.mark.parametrize("family_id, params", [
+    (15, {"t": 100000}),
+    (45, {"t": 50000}),
+    (1, {"a0": 3, "a1": 5, "nu": 20001}),
+])
+def test_match_tuple_at_large_a4(family_id, params):
+    c = families.instantiate(family_id, params)
+    assert c.key[4] >= 100000
+    assert families.match_tuple(c) == [
+        families.FamilyMatch(family_id, tuple(sorted(params.items())))
+    ]
+
+
+def test_series_without_a_linear_solve_is_a_catalog_error():
+    with pytest.raises(ValueError, match="no weight or degree formula is linear"):
+        families.FamilySpec(
+            id=99, parameters=("t",),
+            weights=("1", "1", "t*t", "t*t", "2*t*t"), degrees=("2*t*t", "2*t*t"),
+            amplitude="1", constraints=(),
+        )
 
 
 def test_instantiation_overflow_is_checked():
     with pytest.raises(OverflowError):
         families.instantiate(15, {"t": 1 << 63})
+
+
+def test_zero_slope_in_a_solve_is_an_error_naming_the_series():
+    # "t - t" passes the degree walk but does not depend on t; the solve must
+    # say so rather than divide by zero or skip the series.
+    synthetic = families.FamilySpec(
+        id=99, parameters=("t",),
+        weights=("t - t + 1", "1", "t", "t", "t"), degrees=("2", "2"),
+        amplitude="1", constraints=(),
+    )
+    with pytest.raises(RuntimeError, match="family 99: 't - t \\+ 1' does not depend on t"):
+        families._solve(synthetic, (1, 1, 1, 1, 1, 2, 2))
