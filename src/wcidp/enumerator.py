@@ -6,7 +6,16 @@ the given bounds whose verdict is del Pezzo:
 * ``exhaustive`` iterates all sorted weight tuples and *all* degree pairs
   with d1 <= d2 and d1 + d2 <= sum(a) - 1 (forced by amplitude >= 1) and
   classifies each.  It exists to cross-validate the shaped mode at small
-  bounds and refuses max_a4 > 60 unless explicitly overridden.
+  bounds without the degree-pattern theorem, and refuses max_a4 > 60 unless
+  explicitly overridden.  It works on batches: the tuples of one (a0, a1,
+  a2) prefix that pass the weight-only single-gcd conditions, cut so the
+  (tuple, d1, d2) grid stays small.  Each degree gets a 6-bit state per
+  coordinate i (which shifts d - a_e are multiples of a_i, and whether a_i
+  divides d), and a constant 64 x 64 table reads the singleton condition
+  off the states of d1 and d2.  Coordinate 4 is read first, for the whole
+  grid in one gather, because it removes nearly every pair; coordinates
+  3..0 and the gcd conditions then filter flat arrays of survivors, and
+  ``del_pezzo_quick`` classifies the few that remain.
 
 * ``shaped`` iterates only the fifteen degree patterns a quasi-smooth
   candidate can have at its largest weight: d2 = a_y + a4 (y < 4) with
@@ -29,6 +38,7 @@ count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import gcd
 from multiprocessing import Pool
 from typing import Callable, Iterator, Sequence
@@ -39,7 +49,7 @@ from . import families
 from .classifier import Candidate, del_pezzo_quick
 from .families import FamilyMatch
 from .quasismooth import _COVERING_EF, _singleton_ok
-from .wellformed import _GCD_CONDITIONS, SINGLE_GCD, _gcd_violated
+from .wellformed import _GCD_CONDITIONS, PAIR_GCD, SINGLE_GCD, TRIPLE_GCD, _gcd_violated
 
 MODE_SHAPED = "shaped"
 MODE_EXHAUSTIVE = "exhaustive"
@@ -421,65 +431,128 @@ def _solve_shaped_chunk(max_a4: int, max_d2: int, start: int, stop: int,
 # ---------------------------------------------------------------------------
 # exhaustive mode
 
-def _exhaustive_tuple_solutions(w: tuple[int, ...], max_d2: int) -> list[tuple[int, ...]]:
-    """Classify every admissible degree pair for one weight tuple.
+# A batch's grid, (tuples) x dmax x dmax, is kept under this many cells: its
+# int64 gather index then stays near 256 KB, so the exhaustive run's peak
+# memory stays that of the interpreter and numpy.
+_BATCH_CELLS = 32_768
 
-    Vectorized masks evaluate necessary parts of the verdict (linear cone,
-    coordinate conditions, gcd conditions) over the whole degree grid; the
-    few survivors are re-classified exactly.
+
+@cache
+def _singleton_table() -> np.ndarray:
+    """The singleton verdict for every pair (state(d1), state(d2)), 64 x 64,
+    read-only.  Built at first use, so other modes never pay for it.
+
+    A degree's state at coordinate i has bit e (e < 5) set when d - a_e is a
+    non-negative multiple of a_i, and bit 5 when a_i divides d.
     """
-    total = sum(w)
-    # Single omissions close the table and are weight-only: refute them
-    # before building any grid.
-    for kind, kept in reversed(_GCD_CONDITIONS):
-        if kind != SINGLE_GCD:
-            break
-        if gcd(*(w[k] for k in kept)) != 1:
-            return []
-    dmax = min(max_d2, total - 2)
+    s = np.arange(64)
+    hits = s & 31
+    div = s >= 32
+    h1 = hits[:, None]
+    h2 = hits[None, :]
+    multi1 = (h1 & (h1 - 1)) != 0
+    # Two hits at d1 pair with any hit at d2; a single hit at e pairs with a
+    # hit at d2 on any f != e.
+    shifted = (multi1 & (h2 != 0)) | ((h1 != 0) & ((h2 & ~h1) != 0))
+    table = div[:, None] | div[None, :] | shifted
+    table.flags.writeable = False
+    return table
+
+
+_HIT_BITS = (1 << np.arange(5)).astype(np.uint8)
+
+# Kept weight indices of the gcd conditions of each kind, (conditions, kept).
+_GCD_KEPT = {
+    kind: [kept for k, kept in _GCD_CONDITIONS if k == kind]
+    for kind in (TRIPLE_GCD, PAIR_GCD, SINGLE_GCD)
+}
+
+
+def _singleton_states(w: np.ndarray, d: np.ndarray, coords: list[int]) -> np.ndarray:
+    """States (see ``_singleton_table``) of the degrees d at each coordinate in
+    ``coords``, stacked on a new leading axis.  The five weights run along
+    axis 0 of w; the rest of w broadcasts against d."""
+    ai = w[coords]
+    r = d % ai
+    hits = (d >= w) & (r[:, None] == w % ai[:, None])
+    return np.einsum("e,ce...->c...", _HIT_BITS, hits) | ((r == 0) << 5)
+
+
+def _gcd_ok(kind: str, w: np.ndarray, dd: np.ndarray | None = None) -> np.ndarray:
+    """Which columns of w, weight tuples (5, m) with degree pairs dd (2, m),
+    meet every gcd condition of ``kind``."""
+    b = np.gcd.reduce(w[_GCD_KEPT[kind]], axis=1)
+    d1, d2 = (None, None) if dd is None else dd
+    return ~np.any(_gcd_violated(kind, b, d1, d2), axis=0)
+
+
+def _exhaustive_tuple_solutions(w: np.ndarray, max_d2: int) -> list[tuple[int, ...]]:
+    """Classify every admissible degree pair for a batch of weight tuples.
+
+    A batch is a (5, n) array, one column per sorted weight tuple, of tuples
+    that share (a0, a1, a2) and pass the weight-only single-gcd conditions
+    (``_prefix_batch``).  The kernel builds one (n, dmax, dmax) grid over
+    (tuple, d1, d2) with dmax = min(max_d2, largest sum(w) - 2) and gives
+    each degree a 6-bit singleton state per coordinate, so that
+    ``_singleton_table`` reads the singleton condition off a pair of states.
+    Coordinate 4 goes first, as one gather over the whole grid, with the
+    d1 <= d2, amplitude and cone masks on the same cells: it removes nearly
+    all the pairs those leave (96 % at (20, 40)), so coordinates 3..0 and
+    the gcd conditions run on short flat arrays of survivors, and the few
+    left are re-classified exactly by ``del_pezzo_quick``.  Results come in
+    (tuple, d1, d2) order, so a batch gives the concatenation of what its
+    columns give one at a time.
+    """
+    total = w.sum(axis=0)
+    dmax = min(max_d2, int(total.max()) - 2)
     if dmax < 1:
         return []
-    d = np.arange(1, dmax + 1, dtype=np.int64)
-    d1g = d[:, None]
-    d2g = d[None, :]
-    mask = (d1g <= d2g) & (d1g + d2g <= total - 1)
-    cone = np.isin(d, np.asarray(w, dtype=np.int64))
-    mask &= ~cone[:, None] & ~cone[None, :]
-    for i in (4, 3, 2, 1, 0):
-        if not mask.any():
-            return []
-        ai = w[i]
-        div = d % ai == 0
-        bits = np.zeros(len(d), dtype=np.uint8)
-        for e in range(5):
-            hit = (d >= w[e]) & ((d - w[e]) % ai == 0)
-            bits |= hit.astype(np.uint8) << e
-        b1 = bits[:, None]
-        b2 = bits[None, :]
-        multi1 = (b1 & (b1 - 1)) != 0
-        pair_ok = (multi1 & (b2 != 0)) | ((b1 != 0) & ((b2 & ~b1) != 0))
-        mask &= div[:, None] | div[None, :] | pair_ok
-    for kind, kept in _GCD_CONDITIONS:
-        if kind == SINGLE_GCD:
-            break
-        b = gcd(*(w[k] for k in kept))
-        if b != 1:
-            mask &= ~_gcd_violated(kind, b, d1g, d2g)
+    d = np.arange(1, dmax + 1)
+    states = _singleton_states(w[:, :, None], d, [4, 3, 2, 1, 0])
+    s4 = states[0]
+    table = _singleton_table()
+    keep = table.take((s4 << 6)[:, :, None] | s4[:, None, :])
+    # d1 > d2 gets a sum no tuple's amplitude admits.
+    pair_sum = np.where(d[:, None] <= d[None, :], d[:, None] + d[None, :], total.max())
+    keep &= pair_sum < total[:, None, None]
+    live = (d != w[:, :, None]).all(axis=0)
+    keep &= live[:, :, None]
+    keep &= live[:, None, :]
+    k, i1, i2 = np.unravel_index(np.flatnonzero(keep), keep.shape)
+    if not len(k):
+        return []
+    ok = table[states[1:, k, i1], states[1:, k, i2]].all(axis=0)
+    w, dd = w[:, k[ok]], np.array((i1[ok], i2[ok])) + 1
+    for kind in (TRIPLE_GCD, PAIR_GCD):
+        ok = _gcd_ok(kind, w, dd)
+        w, dd = w[:, ok], dd[:, ok]
     sols = []
-    for i1, i2 in np.argwhere(mask):
-        d1 = int(d[i1])
-        d2 = int(d[i2])
-        if del_pezzo_quick(w, d1, d2):
-            sols.append((*w, d1, d2))
+    for a, d1, d2 in zip(map(tuple, w.T.tolist()), *dd.tolist()):
+        if del_pezzo_quick(a, d1, d2):
+            sols.append((*a, d1, d2))
     return sols
+
+
+def _prefix_batch(a0: int, a1: int, a2: int, max_a4: int) -> np.ndarray:
+    """The weight tuples (a0, a1, a2, a3, a4) with a2 <= a3 <= a4 <= max_a4
+    whose four-weight subsets are coprime, one column each in lexicographic
+    order: a (5, n) array."""
+    a3, a4 = np.triu_indices(max_a4 - a2 + 1)
+    w = np.empty((5, len(a3)), dtype=np.int64)
+    w[:3] = [[a0], [a1], [a2]]
+    w[3] = a2 + a3
+    w[4] = a2 + a4
+    return w[:, _gcd_ok(SINGLE_GCD, w)]
 
 
 def _solve_exhaustive_chunk(max_a4: int, max_d2: int, start: int, stop: int) -> list[tuple[int, ...]]:
     sols = []
     for a0, a1, a2 in _iter_prefixes(max_a4, start, stop):
-        for a3 in range(a2, max_a4 + 1):
-            for a4 in range(a3, max_a4 + 1):
-                sols.extend(_exhaustive_tuple_solutions((a0, a1, a2, a3, a4), max_d2))
+        w = _prefix_batch(a0, a1, a2, max_a4)
+        side = min(max_d2, a0 + a1 + a2 + 2 * max_a4 - 2)
+        step = max(1, _BATCH_CELLS // (side * side))
+        for lo in range(0, w.shape[1], step):
+            sols.extend(_exhaustive_tuple_solutions(w[:, lo:lo + step], max_d2))
     return sols
 
 

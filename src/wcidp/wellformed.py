@@ -11,7 +11,7 @@ hold on the weight subsets:
 
 ``_GCD_CONDITIONS`` lists the 25 sub-conditions once; ``check_wf`` reports
 every violated one, ``is_well_formed`` short-circuits inside enumeration
-loops, and the exhaustive search turns each into a mask over its degree grid.
+loops, and the exhaustive search applies each to arrays of candidates at once.
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ _GCD_CONDITIONS = tuple(
 
 def _gcd_violated(kind: str, b: int, d1, d2):
     """Whether the gcd ``b`` of the kept weights breaks a condition of
-    ``kind``; the degrees may be numpy grids, which gives an elementwise mask.
+    ``kind``; ``b`` and the degrees may be numpy arrays, which gives an
+    elementwise mask.
     """
     if kind == SINGLE_GCD:
         return b != 1

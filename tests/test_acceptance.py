@@ -25,7 +25,7 @@ from wcidp.semigroup import (
 )
 
 DESK_BOUNDS = Bounds(60, 120)
-CROSS_BOUNDS = Bounds(25, 50)
+CROSS_BOUNDS = Bounds(30, 60)
 
 
 @pytest.fixture(scope="module")
@@ -117,7 +117,7 @@ def test_c05_exhaustive_and_shaped_agree(cross_results):
     assert elapsed < 300.0, f"cross-validation took {elapsed:.1f}s"
     assert [c.key for c in exhaustive.solutions] == [c.key for c in shaped.solutions]
     print(f"criterion 5 PASS: modes agree on {len(shaped.solutions)} solutions "
-          f"at (25,50) in {elapsed:.0f}s")
+          f"at ({CROSS_BOUNDS.max_a4},{CROSS_BOUNDS.max_d2}) in {elapsed:.0f}s")
 
 
 def test_c06_degree_bounds_hold_on_exhaustive_output(cross_results):

@@ -1,14 +1,21 @@
 """Search modes, degree patterns, partitioning, determinism."""
 
+from itertools import combinations_with_replacement
+
+import numpy as np
 import pytest
 
-from wcidp.classifier import Candidate, classify
+from wcidp.classifier import Candidate, classify, del_pezzo_quick
 from wcidp.enumerator import (
     Bounds,
     PrefixRange,
     _candidates_fast,
     _candidates_reference,
+    _exhaustive_tuple_solutions,
     _iter_prefixes,
+    _prefix_batch,
+    _singleton_states,
+    _singleton_table,
     _solve_shaped_chunk,
     degree_shapes,
     enumerate_solutions,
@@ -16,6 +23,7 @@ from wcidp.enumerator import (
     prefix_count,
     sporadic,
 )
+from wcidp.quasismooth import _singleton_ok
 
 
 def keys(result):
@@ -178,3 +186,43 @@ def test_exhaustive_refuses_large_bounds_without_override():
         enumerate_solutions(Bounds(61, 122), mode="exhaustive")
     with pytest.raises(ValueError):
         enumerate_solutions(Bounds(10, 20), mode="no-such-mode")
+
+
+def test_state_table_equals_singleton_predicate():
+    # The exhaustive kernel reads the singleton condition off a 64 x 64 table
+    # of degree states; it must agree with the one predicate in quasismooth.
+    table = _singleton_table()
+    for w in combinations_with_replacement(range(1, 8), 5):
+        top = 2 * sum(w)
+        d = np.arange(1, top + 1)
+        states = _singleton_states(np.array(w)[:, None], d, list(range(5)))
+        for i, s in enumerate(states):
+            verdict = table[s[:, None], s[None, :]].tolist()
+            wrong = [(d1, d2) for d1 in range(1, top + 1) for d2 in range(d1, top + 1)
+                     if verdict[d1 - 1][d2 - 1] != _singleton_ok(w, d1, d2, i)]
+            assert not wrong, (w, i, wrong[:5])
+
+
+def test_exhaustive_mode_equals_brute_force():
+    brute = [(*w, d1, d2)
+             for w in combinations_with_replacement(range(1, 11), 5)
+             for d1 in range(1, 21)
+             for d2 in range(d1, 21)
+             if del_pezzo_quick(w, d1, d2)]
+    assert keys(enumerate_solutions(Bounds(10, 20), mode="exhaustive")) == brute
+    assert len(brute) == 50
+
+
+def test_exhaustive_batches_split_freely():
+    max_a4, max_d2 = 10, 20
+    for prefix in [(1, 1, 1), (1, 2, 3), (2, 3, 4), (3, 3, 5)]:
+        batch = _prefix_batch(*prefix, max_a4)
+        whole = _exhaustive_tuple_solutions(batch, max_d2)
+        parts = []
+        for j in range(batch.shape[1]):
+            parts.extend(_exhaustive_tuple_solutions(batch[:, j:j + 1], max_d2))
+        assert whole == parts, prefix
+    # (1, 1, 1) holds tuples whose own dmax, sum(w) - 2, is below the batch's.
+    sums = _prefix_batch(1, 1, 1, max_a4).sum(axis=0)
+    assert sums.min() - 2 < max_d2 <= sums.max() - 2
+    assert _exhaustive_tuple_solutions(_prefix_batch(1, 1, 1, max_a4), max_d2)
