@@ -4,10 +4,11 @@ Enumerates every del Pezzo candidate with a4 <= 60 and d2 <= 120, strips the
 solutions covered by the 45 infinite series, and compares the remainder with
 the shipped golden table restricted to the same box.
 
-Run:  python demos/reproduce_sporadic_table.py
+Run:  python demos/reproduce_sporadic_table.py   (exits 1 on a mismatch)
 """
 
 import csv
+import sys
 import time
 from importlib import resources
 
@@ -37,3 +38,5 @@ print("exact match!" if found == expected else "MISMATCH -- investigate")
 print("\nfirst few sporadic solutions:")
 for c in result.sporadic[:8]:
     print(" ", c)
+
+sys.exit(0 if found == expected else 1)

@@ -30,7 +30,7 @@ from .families import (
     verify_amplitude_column,
 )
 from .quasismooth import QsReport, check_qs, qs_pair, qs_singleton, qs_triple
-from .semigroup import contains, subset_gcd
+from .semigroup import contains
 from .wellformed import WfReport, check_wf
 
 __version__ = "0.1.0"
@@ -64,7 +64,6 @@ __all__ = [
     "qs_triple",
     "smallest_assignments",
     "sporadic",
-    "subset_gcd",
     "valid_params",
     "verify_amplitude_column",
     "__version__",

@@ -246,6 +246,8 @@ def cmd_verify(args) -> int:
     max_d2 = args.max_d2 if args.max_d2 is not None else 2 * args.max_a4
     try:
         bounds = Bounds(args.max_a4, max_d2)
+        if args.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {args.jobs}")
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE

@@ -37,6 +37,7 @@ count.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cache
 from math import gcd
@@ -225,58 +226,29 @@ def _side_residues(kappa: int, c: int, subs: tuple[int, int, int, int], m: int):
     return out
 
 
-class _ResidueTable:
-    """Per-(prefix, modulus) cache of side residues and divisibility residues.
-
-    Shapes share their (kappa, c) sides, so each distinct side is solved
-    once per prefix and modulus.
-    """
-
-    def __init__(self, subs: tuple[int, int, int, int], m: int):
-        self.subs = subs
-        self.m = m
-        self._sides: dict[tuple[int, int], set[int] | None] = {}
-        self._divs: dict[tuple[int, int], tuple[int, ...] | None] = {}
-
-    def side(self, kappa: int, c: int):
-        key = (kappa, c)
-        try:
-            return self._sides[key]
-        except KeyError:
-            val = _side_residues(kappa, c, self.subs, self.m)
-            self._sides[key] = val
-            return val
-
-    def div(self, kappa: int, c: int):
-        key = (kappa, c)
-        try:
-            return self._divs[key]
-        except KeyError:
-            val = _mod_sols(kappa, -c, self.m)
-            self._divs[key] = val
-            return val
-
-    def coord_residues(self, k1: int, c1: int, k2: int, c2: int):
-        """Necessary residues of a4 for the singleton condition at the
-        coordinate of weight m: m divides d1 or d2, or both sides admit a
-        shift divisible by m.  None means no restriction."""
-        div1 = self.div(k1, c1)
-        if div1 is None:
-            return None
-        div2 = self.div(k2, c2)
-        if div2 is None:
-            return None
-        r1 = self.side(k1, c1)
-        r2 = self.side(k2, c2)
-        if r1 is None and r2 is None:
-            return None
-        if r1 is None:
-            both = r2
-        elif r2 is None:
-            both = r1
-        else:
-            both = r1 & r2
-        return both | set(div1) | set(div2)
+def _coord_residues(k1: int, c1: int, k2: int, c2: int,
+                    subs: tuple[int, int, int, int], m: int):
+    """Necessary residues of a4 (mod m) for the singleton condition at the
+    coordinate of weight m, for the pattern (d1, d2) = (c1 + k1*a4,
+    c2 + k2*a4): m divides d1 or d2, or both sides admit a shift divisible
+    by m.  None means no restriction."""
+    div1 = _mod_sols(k1, -c1, m)
+    if div1 is None:
+        return None
+    div2 = _mod_sols(k2, -c2, m)
+    if div2 is None:
+        return None
+    r1 = _side_residues(k1, c1, subs, m)
+    r2 = _side_residues(k2, c2, subs, m)
+    if r1 is None and r2 is None:
+        return None
+    if r1 is None:
+        both = r2
+    elif r2 is None:
+        both = r1
+    else:
+        both = r1 & r2
+    return both | set(div1) | set(div2)
 
 
 def _top_pair_member(c: int, a3: int):
@@ -344,8 +316,6 @@ def _candidates_fast(a0: int, a1: int, a2: int, a3: int,
     trio = (a0, a1, a2)
     psum = a0 + a1 + a2 + a3
     lo = a3
-    table3: _ResidueTable | None = None
-    table2: _ResidueTable | None = None
     cands: set[tuple[int, int, int]] = set()
     for k1, c1, k2, c2 in set(_shape_rows(a0, a1, a2, a3)):
         if c2 > max_d2:
@@ -362,25 +332,17 @@ def _candidates_fast(a0: int, a1: int, a2: int, a3: int,
             if pinned is not None:
                 source = [v for v in pinned if lo <= v <= hi]
             else:
-                if table3 is None:
-                    table3 = _ResidueTable(subs, a3)
-                res3 = table3.coord_residues(k1, c1, k2, c2)
-                if res3 is not None:
-                    source = []
-                    for r in res3:
-                        first = lo + ((r - lo) % a3)
-                        source.extend(range(first, hi + 1, a3))
-                else:
-                    if table2 is None:
-                        table2 = _ResidueTable(subs, a2)
-                    res2 = table2.coord_residues(k1, c1, k2, c2)
-                    if res2 is not None:
+                source = range(lo, hi + 1)
+                # Coordinate 3 restricts a4 unless its condition holds for
+                # every a4; coordinate 2 is the fallback.
+                for m in (a3, a2):
+                    res = _coord_residues(k1, c1, k2, c2, subs, m)
+                    if res is not None:
                         source = []
-                        for r in res2:
-                            first = lo + ((r - lo) % a2)
-                            source.extend(range(first, hi + 1, a2))
-                    else:
-                        source = range(lo, hi + 1)
+                        for r in res:
+                            first = lo + ((r - lo) % m)
+                            source.extend(range(first, hi + 1, m))
+                        break
         for a4 in source:
             cands.add((a4, c1 + k1 * a4, c2 + k2 * a4))
     return cands
@@ -596,20 +558,12 @@ def enumerate_solutions(
                   for r in partition(bounds, n_chunks)]
 
     raw: list[tuple[int, ...]] = []
-    done = 0
-    if jobs == 1:
-        for args in chunk_args:
-            raw.extend(_solve_chunk(args))
-            done += 1
+    with nullcontext() if jobs == 1 else Pool(processes=jobs) as pool:
+        parts = map(_solve_chunk, chunk_args) if pool is None else pool.imap(_solve_chunk, chunk_args)
+        for done, part in enumerate(parts, 1):
+            raw.extend(part)
             if progress is not None:
                 progress(done, n_chunks, len(raw))
-    else:
-        with Pool(processes=jobs) as pool:
-            for part in pool.imap(_solve_chunk, chunk_args):
-                raw.extend(part)
-                done += 1
-                if progress is not None:
-                    progress(done, n_chunks, len(raw))
 
     keys = sorted(set(raw))
     matches = families.instances_within(bounds.max_a4, bounds.max_d2)

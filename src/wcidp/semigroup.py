@@ -2,18 +2,19 @@
 
 The semigroup spanned by positive integers g_1, ..., g_p is the set of all
 non-negative integer combinations sum(u_i * g_i).  Membership questions of
-this kind drive every quasi-smoothness test, and gcds of weight subsets drive
-every well-formedness test.  All values in play are tiny (degrees stay below
-a few thousand in any search this package runs), so membership is read from
-a cached reachability bitmap; ``contains`` reduces larger values to it by
-the gcd of the generators and Schur's bound on the Frobenius number.
+this kind drive every quasi-smoothness test (the gcds of weight subsets that
+well-formedness needs live in ``wellformed``).  All values in play are tiny
+(degrees stay below a few thousand in any search this package runs), so
+membership is read from a cached reachability bitmap; ``contains`` reduces
+larger values to it by the gcd of the generators and Schur's bound on the
+Frobenius number.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 def _checked_generators(generators: Iterable[int]) -> tuple[int, ...]:
@@ -93,50 +94,3 @@ def member(generators: tuple[int, ...], value: int, limit_hint: int) -> bool:
         return True
     bucket = _bucket(max(limit_hint, value))
     return (reachable_bitmap(generators, bucket) >> value) & 1 == 1
-
-
-def subset_gcd(weights: Sequence[int], omitted: Iterable[int]) -> int:
-    """gcd of the weights whose indices are *not* in ``omitted``.
-
-    ``omitted`` must contain 1, 2 or 3 distinct indices from {0..4}, so at
-    least two weights remain.
-    """
-    if len(weights) != 5:
-        raise ValueError(f"expected 5 weights, got {len(weights)}")
-    omit = set(omitted)
-    if not omit <= set(range(5)):
-        raise ValueError(f"omitted indices must lie in 0..4, got {sorted(omit)}")
-    if not 1 <= len(omit) <= 3:
-        raise ValueError("omitted set must leave at least two weights")
-    g = 0
-    for i, w in enumerate(weights):
-        if i not in omit:
-            g = gcd(g, w)
-    return g
-
-
-def pair_span_contains_sum(a3: int, a4: int, ai: int) -> bool:
-    """Closed form for ``ai + a4 in <a3, a4>`` on a steep tail.
-
-    Valid when 0 < ai < a3 < a4 < 2*a3: the only representation a candidate
-    sum can take is 2*a3, so membership holds exactly when a4 == 2*a3 - ai.
-    """
-    if not 0 < ai < a3 < a4 < 2 * a3:
-        raise ValueError(f"preconditions 0 < ai < a3 < a4 < 2*a3 violated: {ai, a3, a4}")
-    return a4 == 2 * a3 - ai
-
-
-def pair_span_contains_sum_minus(a3: int, a4: int, ai: int, aj: int) -> bool:
-    """Closed form for ``ai + a4 - aj in <a3, a4>`` on a steep tail.
-
-    Valid when 0 < ai, aj < a3 < a4 < 2*a3 and ai != aj.  The shifted sum can
-    only be a multiple of a3, forcing a4 == 2*a3 + aj - ai when ai > aj and
-    a4 == a3 + aj - ai when ai < aj.
-    """
-    if ai == aj:
-        raise ValueError("ai and aj must differ")
-    if not (0 < ai < a3 and 0 < aj < a3 and a3 < a4 < 2 * a3):
-        raise ValueError(f"preconditions violated: {ai, aj, a3, a4}")
-    if ai > aj:
-        return a4 == 2 * a3 + aj - ai
-    return a4 == a3 + aj - ai

@@ -17,12 +17,8 @@ import pytest
 from wcidp import families
 from wcidp.classifier import Candidate, amplitude, classify
 from wcidp.cli import _write_csv
-from wcidp.enumerator import Bounds, degree_shapes, enumerate_solutions
-from wcidp.semigroup import (
-    member,
-    pair_span_contains_sum,
-    pair_span_contains_sum_minus,
-)
+from wcidp.enumerator import Bounds, _top_pair_member, degree_shapes, enumerate_solutions
+from wcidp.semigroup import member
 
 DESK_BOUNDS = Bounds(60, 120)
 CROSS_BOUNDS = Bounds(30, 60)
@@ -132,24 +128,21 @@ def test_c06_degree_bounds_hold_on_exhaustive_output(cross_results):
 
 
 def test_c07_steep_tail_closed_forms_match_brute_force():
-    # The conditions depend only on (a_i, a_j, a3, a4), so sweeping all
-    # value quadruples u != v < a3 < a4 < 2*a3 with a4 <= 60 covers every
-    # sorted quintuple the statement quantifies over.
+    # The shaped generator pins a4 by ``_top_pair_member``: on a steep tail
+    # a3 <= a4 < 2*a3, c + a4 lies in <a3, a4> exactly when the closed form
+    # answers None (every a4) or lists a4.  The generator asks with
+    # c = a_x or c = a_x - a_t for weights 1 <= a_t, a_x <= a3, so sweeping
+    # -a3 < c <= a3 with a4 <= 60 covers every sorted quintuple the
+    # statement quantifies over.
     t0 = time.monotonic()
     checked = 0
-    for a3 in range(2, 60):
-        for a4 in range(a3 + 1, min(2 * a3 - 1, 60) + 1):
-            limit = a4 + a3
-            for u in range(1, a3):
-                s = member((a3, a4), u + a4, limit)
-                assert pair_span_contains_sum(a3, a4, u) == s, (a3, a4, u)
+    for a3 in range(1, 61):
+        for a4 in range(a3, min(2 * a3 - 1, 60) + 1):
+            for c in range(1 - a3, a3 + 1):
+                closed = _top_pair_member(c, a3)
+                s = member((a3, a4), c + a4, a3 + a4)
+                assert (closed is None or a4 in closed) == s, (a3, a4, c)
                 checked += 1
-                for v in range(1, a3):
-                    if v == u:
-                        continue
-                    s = member((a3, a4), u + a4 - v, limit)
-                    assert pair_span_contains_sum_minus(a3, a4, u, v) == s, (a3, a4, u, v)
-                    checked += 1
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0, f"closed-form sweep took {elapsed:.1f}s"
     print(f"criterion 7 PASS: {checked} closed-form memberships vs brute force "

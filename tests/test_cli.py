@@ -242,6 +242,13 @@ def test_verify_detects_corrupted_asset(tmp_path, capsys):
     assert "FAIL" in out
 
 
+def test_verify_rejects_bad_jobs_before_any_work(capsys):
+    code, out, err = run(capsys, "verify", "--max-a4", "3", "--max-d2", "6", "--jobs", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error:") and "jobs" in err
+
+
 def test_verify_missing_asset_is_usage_error(capsys):
     code, _, err = run(capsys, "verify", "--max-a4", "3", "--max-d2", "6",
                        "--sporadic-asset", "/nonexistent/table.csv")

@@ -174,11 +174,13 @@ def test_jobs_do_not_change_results():
 
 
 def test_progress_callback_reports_completion():
-    seen = []
-    enumerate_solutions(Bounds(6, 12), progress=lambda d, t, n: seen.append((d, t, n)))
-    assert seen
-    done, total, _ = seen[-1]
-    assert done == total
+    for jobs in (1, 2):
+        seen = []
+        res = enumerate_solutions(Bounds(6, 12), jobs=jobs,
+                                  progress=lambda d, t, n: seen.append((d, t, n)))
+        total = seen[-1][1]
+        assert seen[-1] == (total, total, len(res.solutions)), jobs
+        assert [d for d, _, _ in seen] == list(range(1, total + 1)), jobs
 
 
 def test_exhaustive_refuses_large_bounds_without_override():

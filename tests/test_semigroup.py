@@ -1,20 +1,13 @@
-"""Membership and gcd substrate, held against independent brute-force oracles."""
+"""Membership substrate, held against independent brute-force oracles."""
 
 import random
-from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wcidp import semigroup
-from wcidp.semigroup import (
-    contains,
-    member,
-    pair_span_contains_sum,
-    pair_span_contains_sum_minus,
-    subset_gcd,
-)
+from wcidp.semigroup import contains, member
 
 
 def dp_reachable(gens, limit):
@@ -110,54 +103,3 @@ def test_contains_monotone_under_generator_extension(gens, extra, v):
 @given(st.integers(1, 50), st.integers(-20, 400))
 def test_single_generator_membership_is_divisibility(g, v):
     assert contains((g,), v) == (v >= 0 and v % g == 0)
-
-
-def test_subset_gcd_examples():
-    assert subset_gcd((1, 2, 2, 5, 5), {0, 1, 2}) == 5
-    assert subset_gcd((2, 3, 4, 5, 6), {1}) == 1
-    assert subset_gcd((4, 6, 6, 10, 14), {3, 4}) == 2
-
-
-def test_subset_gcd_rejects_bad_omissions():
-    with pytest.raises(ValueError):
-        subset_gcd((1, 2, 3, 4, 5), set())
-    with pytest.raises(ValueError):
-        subset_gcd((1, 2, 3, 4, 5), {0, 1, 2, 3})
-    with pytest.raises(ValueError):
-        subset_gcd((1, 2, 3, 4, 5), {5})
-    with pytest.raises(ValueError):
-        subset_gcd((1, 2, 3), {0})
-
-
-def test_subset_gcd_divides_kept_weights_and_is_maximal():
-    rng = random.Random(7)
-    for _ in range(200):
-        weights = tuple(sorted(rng.randint(1, 60) for _ in range(5)))
-        size = rng.randint(1, 3)
-        omitted = set(rng.sample(range(5), size))
-        g = subset_gcd(weights, omitted)
-        kept = [w for i, w in enumerate(weights) if i not in omitted]
-        assert all(w % g == 0 for w in kept)
-        for candidate in range(g + 1, max(kept) + 1):
-            assert not all(w % candidate == 0 for w in kept)
-
-
-def test_steep_tail_closed_forms_small_sweep():
-    for a3 in range(2, 26):
-        for a4 in range(a3 + 1, min(2 * a3, 27)):
-            bitmap_pairs = [(u, contains((a3, a4), u + a4)) for u in range(1, a3)]
-            for u, got in bitmap_pairs:
-                assert pair_span_contains_sum(a3, a4, u) == got, (a3, a4, u)
-            for u in range(1, a3):
-                for v in range(1, a3):
-                    if u == v:
-                        continue
-                    expected = contains((a3, a4), u + a4 - v)
-                    assert pair_span_contains_sum_minus(a3, a4, u, v) == expected
-
-
-def test_steep_tail_closed_forms_validate_preconditions():
-    with pytest.raises(ValueError):
-        pair_span_contains_sum(5, 11, 2)  # a4 >= 2*a3
-    with pytest.raises(ValueError):
-        pair_span_contains_sum_minus(5, 7, 3, 3)
