@@ -33,6 +33,9 @@ NEGATIVE = 3
 
 CSV_HEADER = "a0,a1,a2,a3,a4,d1,d2"
 
+_PROGRESS_HELP = ("print a line of text on stderr about once a second "
+                  "(chunks done, solutions so far)")
+
 
 def _default_jobs() -> int:
     env = os.environ.get("WCIDP_JOBS")
@@ -139,6 +142,12 @@ def cmd_enumerate(args) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE
+    # Fail a bad output path now, not after the run; the file itself is
+    # opened only once the rows exist, so no error truncates it.
+    out_dir = os.path.dirname(os.path.abspath(args.output)) if args.output else None
+    if out_dir is not None and not (os.path.isdir(out_dir) and os.access(out_dir, os.W_OK)):
+        print(f"i/o failure: cannot write into directory {out_dir}", file=sys.stderr)
+        return MISMATCH
     progress = _progress_printer("enumerate") if args.progress else None
     try:
         result = enumerate_solutions(
@@ -333,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--jobs", type=int, default=_default_jobs())
     p_enum.add_argument("--output", default=None, help="output path (default stdout)")
     p_enum.add_argument("--progress", action="store_true",
-                        help="emit progress records on stderr")
+                        help=_PROGRESS_HELP)
     p_enum.add_argument("--allow-big-exhaustive", action="store_true")
     p_enum.set_defaults(func=cmd_enumerate)
 
@@ -354,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--jobs", type=int, default=_default_jobs())
     p_verify.add_argument("--sporadic-asset", default=None,
                           help="override the shipped sporadic table (for audits)")
-    p_verify.add_argument("--progress", action="store_true")
+    p_verify.add_argument("--progress", action="store_true", help=_PROGRESS_HELP)
     p_verify.set_defaults(func=cmd_verify)
     return parser
 

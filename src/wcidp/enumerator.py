@@ -28,7 +28,11 @@ the given bounds whose verdict is del Pezzo:
   produce supersets of the survivors, and every candidate they emit is still
   fully re-classified, so they cannot introduce false positives.  A plain
   scanning generator, ``_candidates_reference``, backs the fast path in the
-  differential tests.
+  differential tests.  The chunk loop filters each candidate, cheapest
+  first: one gcd of a4 with the product of the four three-weight gcds, the
+  linear-cone test, the singleton condition at coordinate 3, then
+  ``del_pezzo_quick``, which tests singletons 4 and 3 last: every pattern
+  meets coordinate 4 by construction, and coordinate 3 was just tested.
 
 Work is partitioned into disjoint (a0, a1, a2) prefix ranges; workers share
 nothing mutable and the merged, sorted result is identical for every job
@@ -257,27 +261,25 @@ def _top_pair_member(c: int, a3: int):
 
     Membership then forces c + a4 to be a plain multiple of a3, except when
     c is itself a non-negative multiple of a3 (the combination a4 + c), in
-    which case it holds for every a4; that case returns None.  Values
-    outside the caller's range are filtered later."""
+    which case it holds for every a4; that case returns None.  The multiple
+    3*a3 would need a4 >= 2*a3, so two values remain; values outside the
+    caller's range are filtered later."""
     if c >= 0 and c % a3 == 0:
         return None
-    return (a3 - c, 2 * a3 - c, 3 * a3 - c)
+    return (a3 - c, 2 * a3 - c)
 
 
-def _top_pair_candidates(c1: int, c2: int, trio: tuple[int, int, int], a3: int):
+def _top_pair_candidates(c1: int, c2: int, a0: int, a1: int, a2: int, a3: int):
     """a4 values compatible with the pair condition at the two largest
     coordinates for the pattern (d1, d2) = (c1 + a4, c2 + a4); None when
     the condition holds for every a4."""
-    m2 = _top_pair_member(c2, a3)
-    if m2 is None:
+    if (c1 >= 0 and c1 % a3 == 0) or (c2 >= 0 and c2 % a3 == 0):
         return None
-    m1 = _top_pair_member(c1, a3)
-    if m1 is None:
-        return None
-    out = set(m1)
-    out.update(m2)
-    mem1 = tuple(_top_pair_member(c1 - t, a3) for t in trio)
-    mem2 = tuple(_top_pair_member(c2 - t, a3) for t in trio)
+    out = {*_top_pair_member(c1, a3), *_top_pair_member(c2, a3)}
+    mem1 = (_top_pair_member(c1 - a0, a3), _top_pair_member(c1 - a1, a3),
+            _top_pair_member(c1 - a2, a3))
+    mem2 = (_top_pair_member(c2 - a0, a3), _top_pair_member(c2 - a1, a3),
+            _top_pair_member(c2 - a2, a3))
     if mem1.count(None) == 1 and mem2.count(None) == 1:
         x = mem1.index(None)
         y = mem2.index(None)
@@ -313,14 +315,17 @@ def _candidates_fast(a0: int, a1: int, a2: int, a3: int,
                      max_a4: int, max_d2: int) -> set[tuple[int, int, int]]:
     """Shaped-mode candidates (a4, d1, d2) for one weight prefix."""
     subs = (a0, a1, a2, a3)
-    trio = (a0, a1, a2)
     psum = a0 + a1 + a2 + a3
     lo = a3
     cands: set[tuple[int, int, int]] = set()
-    for k1, c1, k2, c2 in set(_shape_rows(a0, a1, a2, a3)):
-        if c2 > max_d2:
-            continue
-        hi = min((psum - 1 - c1 - c2) // (k1 + k2 - 1), (max_d2 - c2) // k2, max_a4)
+    # Equal weights repeat a row; the repeat only re-adds the same tuples.
+    for k1, c1, k2, c2 in _shape_rows(a0, a1, a2, a3):
+        hi = (psum - 1 - c1 - c2) // (k1 + k2 - 1)
+        cap = (max_d2 - c2) // k2
+        if cap < hi:
+            hi = cap
+        if max_a4 < hi:
+            hi = max_a4
         if hi < lo:
             continue
         source: Sequence[int]
@@ -328,7 +333,7 @@ def _candidates_fast(a0: int, a1: int, a2: int, a3: int,
             # Small ranges: scanning beats solving for a4.
             source = range(lo, hi + 1)
         else:
-            pinned = _top_pair_candidates(c1, c2, trio, a3) if k2 == 1 else None
+            pinned = _top_pair_candidates(c1, c2, a0, a1, a2, a3) if k2 == 1 else None
             if pinned is not None:
                 source = [v for v in pinned if lo <= v <= hi]
             else:
@@ -374,15 +379,15 @@ def _solve_shaped_chunk(max_a4: int, max_d2: int, start: int, stop: int,
         for a3 in range(a2, max_a4 + 1):
             if gcd(g012, a3) != 1:
                 continue
-            g013 = gcd(g01, a3)
-            g023 = gcd(gcd(a0, a2), a3)
-            g123 = gcd(gcd(a1, a2), a3)
-            wp = (a0, a1, a2, a3)
+            # a4 shares a prime with one of the four three-weight gcds
+            # exactly when it shares one with their product.
+            g_prod = g012 * gcd(g01, a3) * gcd(gcd(a0, a2), a3) * gcd(gcd(a1, a2), a3)
             for a4, d1, d2 in generator(a0, a1, a2, a3, max_a4, max_d2):
-                if (gcd(g012, a4) != 1 or gcd(g013, a4) != 1
-                        or gcd(g023, a4) != 1 or gcd(g123, a4) != 1):
+                if g_prod != 1 and gcd(g_prod, a4) != 1:
                     continue
-                if d1 == a4 or d2 == a4 or d1 in wp or d2 in wp:
+                # Every pattern has d2 > a4 and d1 >= a0 + a3 > a3, so the
+                # one linear cone left to rule out is d1 = a4.
+                if d1 == a4:
                     continue
                 w = (a0, a1, a2, a3, a4)
                 if _singleton_ok(w, d1, d2, 3) and del_pezzo_quick(w, d1, d2):

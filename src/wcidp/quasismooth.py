@@ -47,9 +47,12 @@ _COVERING_EF = tuple(
     if len({*E, *F}) == 3
 )
 
-# High-weight subsets are the most selective; test them first.  Index 3
-# leads: degree patterns born at the top weight rarely fail index 4.
-_SINGLE_ORDER = (3, 2, 4, 1, 0)
+# High-weight pairs and triples are the most selective; test them first.
+# Singletons 4 and 3 go last: every degree pattern of the shaped search meets
+# index 4 by construction (a4 divides d2 = 2*a4, and (d1, d2) = (a_x + a4,
+# a_y + a4) with x != y pairs the shifts a_x and a_y), and the shaped chunk
+# loop tests index 3 itself before calling ``del_pezzo_quick``.
+_SINGLE_ORDER = (2, 1, 0, 4, 3)
 _PAIR_ORDER = ((3, 4), (2, 4), (2, 3), (1, 4), (1, 3), (0, 4), (0, 3), (1, 2), (0, 2), (0, 1))
 _TRIPLE_ORDER = (
     (2, 3, 4), (1, 3, 4), (0, 3, 4), (1, 2, 4), (0, 2, 4),
@@ -83,23 +86,31 @@ class QsReport:
 
 def _singleton_ok(a: tuple[int, ...], d1: int, d2: int, i: int) -> bool:
     ai = a[i]
-    if d1 % ai == 0 or d2 % ai == 0:
+    r1 = d1 % ai
+    if r1 == 0:
         return True
-    hits1 = 0
+    r2 = d2 % ai
+    if r2 == 0:
+        return True
+    # d - a_e lies in (a_i) exactly when a_e == d (mod a_i) and a_e <= d.
+    # ``only1`` is the one such e at d1, or 5 when there are several: any f
+    # then pairs with one of them.
     only1 = -1
-    for e in range(5):
-        ae = a[e]
-        if d1 >= ae and (d1 - ae) % ai == 0:
-            hits1 += 1
-            only1 = e
-            if hits1 > 1:
+    e = 0
+    for ae in a:
+        if ae % ai == r1 and d1 >= ae:
+            if only1 >= 0:
+                only1 = 5
                 break
-    if hits1 == 0:
+            only1 = e
+        e += 1
+    if only1 < 0:
         return False
-    for f in range(5):
-        af = a[f]
-        if d2 >= af and (d2 - af) % ai == 0 and (hits1 > 1 or f != only1):
+    f = 0
+    for af in a:
+        if af % ai == r2 and d2 >= af and f != only1:
             return True
+        f += 1
     return False
 
 

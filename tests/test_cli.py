@@ -133,6 +133,18 @@ def test_enumerate_writes_output_file(tmp_path, capsys):
     assert text.endswith("\n") and not text.endswith("\n\n")
 
 
+def test_enumerate_rejects_unwritable_output_before_the_run(tmp_path, capsys, monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("enumeration ran before the output path was checked")
+
+    monkeypatch.setattr("wcidp.cli.enumerate_solutions", must_not_run)
+    missing = tmp_path / "missing" / "x.csv"
+    code, out, err = run(capsys, "enumerate", "--max-a4", "30", "--output", str(missing))
+    assert code == 1 and out == ""
+    assert err.startswith("i/o failure:")
+    assert not missing.parent.exists()
+
+
 def test_enumerate_progress_goes_to_stderr(capsys):
     code, out, err = run(capsys, "enumerate", "--max-a4", "6", "--progress")
     assert code == 0

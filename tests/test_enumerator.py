@@ -5,6 +5,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 import pytest
 
+from wcidp import classifier, enumerator
 from wcidp.classifier import Candidate, classify, del_pezzo_quick
 from wcidp.enumerator import (
     Bounds,
@@ -228,3 +229,41 @@ def test_exhaustive_batches_split_freely():
     sums = _prefix_batch(1, 1, 1, max_a4).sum(axis=0)
     assert sums.min() - 2 < max_d2 <= sums.max() - 2
     assert _exhaustive_tuple_solutions(_prefix_batch(1, 1, 1, max_a4), max_d2)
+
+
+def test_stage_counts_at_20_40_are_pinned(monkeypatch):
+    # Each stage of the shaped chunk loop is reached through a module
+    # attribute; wrapping them counts what every stage receives and passes.
+    # A change to the generator or to the filter chain that moves any of
+    # these counts changes which candidates the search examines.
+    counts = {}
+
+    def count(module, name, size=len):
+        original = getattr(module, name)
+        seen = counts[name] = [0, 0]
+
+        def wrapper(*args):
+            result = original(*args)
+            seen[0] += 1
+            seen[1] += size(result)
+            return result
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    count(enumerator, "_candidates_fast")
+    count(enumerator, "_singleton_ok", size=bool)
+    count(enumerator, "del_pezzo_quick", size=bool)
+    count(classifier, "is_well_formed", size=bool)
+    res = enumerate_solutions(Bounds(20, 40), jobs=1)
+    assert len(res.solutions) == 183
+    assert counts["_candidates_fast"][1] == 126_078
+    assert counts["_singleton_ok"] == [101_519, 34_580]
+    assert counts["del_pezzo_quick"] == [34_580, 183]
+    assert counts["is_well_formed"] == [2_935, 295]
+
+
+def test_every_degree_pattern_meets_the_top_singleton():
+    # del_pezzo_quick tests coordinate 4 near last because of this.
+    for w in combinations_with_replacement(range(1, 13), 5):
+        for d1, d2 in degree_shapes(w):
+            assert _singleton_ok(w, d1, d2, 4), (w, d1, d2)
