@@ -44,6 +44,7 @@ from __future__ import annotations
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cache
+from itertools import combinations
 from math import gcd
 from multiprocessing import Pool
 from typing import Callable, Iterator, Sequence
@@ -53,7 +54,7 @@ import numpy as np
 from . import families
 from .classifier import Candidate, del_pezzo_quick
 from .families import FamilyMatch
-from .quasismooth import _COVERING_EF, _singleton_ok
+from .quasismooth import _singleton_ok
 from .wellformed import _GCD_CONDITIONS, PAIR_GCD, SINGLE_GCD, TRIPLE_GCD, _gcd_violated
 
 MODE_SHAPED = "shaped"
@@ -269,6 +270,16 @@ def _top_pair_member(c: int, a3: int):
     return (a3 - c, 2 * a3 - c)
 
 
+# Branch (d) of the pair condition: ordered pairs (E, F) of two-element
+# position sets within the complement {0, 1, 2} whose union covers it.
+_COVERING_EF = tuple(
+    (E, F)
+    for E in combinations(range(3), 2)
+    for F in combinations(range(3), 2)
+    if len({*E, *F}) == 3
+)
+
+
 def _top_pair_candidates(c1: int, c2: int, a0: int, a1: int, a2: int, a3: int):
     """a4 values compatible with the pair condition at the two largest
     coordinates for the pattern (d1, d2) = (c1 + a4, c2 + a4); None when
@@ -430,7 +441,7 @@ _HIT_BITS = (1 << np.arange(5)).astype(np.uint8)
 
 # Kept weight indices of the gcd conditions of each kind, (conditions, kept).
 _GCD_KEPT = {
-    kind: [kept for k, kept in _GCD_CONDITIONS if k == kind]
+    kind: [kept for k, kept, _ in _GCD_CONDITIONS if k == kind]
     for kind in (TRIPLE_GCD, PAIR_GCD, SINGLE_GCD)
 }
 

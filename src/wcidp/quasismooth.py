@@ -38,14 +38,13 @@ SINGLETON = "singleton"
 PAIR = "pair"
 TRIPLE = "triple"
 
-# Ordered pairs (E, F) of two-element position sets within a three-element
-# complement whose union covers all three positions: branch (d).
-_COVERING_EF = tuple(
-    (E, F)
-    for E in combinations(range(3), 2)
-    for F in combinations(range(3), 2)
-    if len({*E, *F}) == 3
-)
+# Each level's index subsets in canonical (lexicographic) order, the order of
+# ``check_qs``'s reports, and the complement of every pair and triple.
+_SINGLES = tuple((i,) for i in range(5))
+_PAIRS = tuple(combinations(range(5), 2))
+_TRIPLES = tuple(combinations(range(5), 3))
+_PAIR_REST = {s: tuple(k for k in range(5) if k not in s) for s in _PAIRS}
+_TRIPLE_REST = {s: tuple(k for k in range(5) if k not in s) for s in _TRIPLES}
 
 # High-weight pairs and triples are the most selective; test them first.
 # Singletons 4 and 3 go last: every degree pattern of the shaped search meets
@@ -115,42 +114,36 @@ def _singleton_ok(a: tuple[int, ...], d1: int, d2: int, i: int) -> bool:
 
 
 def _pair_ok(a: tuple[int, ...], d1: int, d2: int, i: int, j: int) -> bool:
-    gens = (a[i], a[j])
-    limit = d2
-
-    def mem(v: int) -> bool:
-        return member(gens, v, limit)
-
-    in1 = mem(d1)
-    in2 = mem(d2)
-    if in1 and in2:
-        return True
-    if in1 and any(mem(d2 - a[e]) for e in range(5)):
-        return True
-    if in2 and any(mem(d1 - a[e]) for e in range(5)):
-        return True
-    comp = tuple(k for k in range(5) if k != i and k != j)
-    m1 = tuple(mem(d1 - a[e]) for e in comp)
-    m2 = tuple(mem(d2 - a[f]) for f in comp)
-    for E, F in _COVERING_EF:
-        if m1[E[0]] and m1[E[1]] and m2[F[0]] and m2[F[1]]:
+    mem = member((a[i], a[j]), d2)
+    # (d) puts two shifts of d2 in the span, so once d1 is in the span (b)
+    # holds whenever (d) does and decides alone; likewise (c) once only d2 is.
+    if mem(d1):
+        if mem(d2):
             return True
-    return False
+        for ae in a:
+            if mem(d2 - ae):
+                return True
+        return False
+    if mem(d2):
+        for ae in a:
+            if mem(d1 - ae):
+                return True
+        return False
+    # (d) with E, F two-element subsets of {k, l, m} covering it: at least
+    # two shifts land at each degree, and every index lands at one of them.
+    k, l, m = _PAIR_REST[i, j]
+    e1, e2, e3 = mem(d1 - a[k]), mem(d1 - a[l]), mem(d1 - a[m])
+    if e1 + e2 + e3 < 2:
+        return False
+    f1, f2, f3 = mem(d2 - a[k]), mem(d2 - a[l]), mem(d2 - a[m])
+    return f1 + f2 + f3 >= 2 and (e1 or f1) and (e2 or f2) and (e3 or f3)
 
 
 def _triple_ok(a: tuple[int, ...], d1: int, d2: int, k: int, l: int, m: int) -> bool:
-    gens = (a[k], a[l], a[m])
-    limit = d2
-
-    def mem(v: int) -> bool:
-        return member(gens, v, limit)
-
-    i, j = (x for x in range(5) if x not in (k, l, m))
-    in1 = mem(d1)
-    if in1 and mem(d2):
-        return True
-    if in1 and mem(d2 - a[i]) and mem(d2 - a[j]):
-        return True
+    mem = member((a[k], a[l], a[m]), d2)
+    i, j = _TRIPLE_REST[k, l, m]
+    if mem(d1):
+        return mem(d2) or (mem(d2 - a[i]) and mem(d2 - a[j]))
     return mem(d2) and mem(d1 - a[i]) and mem(d1 - a[j])
 
 
@@ -205,14 +198,14 @@ def check_qs(candidate: "Candidate") -> QsReport:
     a = candidate.weights.a
     d1, d2 = candidate.d1, candidate.d2
     violations = []
-    for level, order, ok, detail in (
-        (SINGLETON, [(i,) for i in _SINGLE_ORDER], _singleton_ok, _SINGLE_DETAIL),
-        (PAIR, _PAIR_ORDER, _pair_ok, _PAIR_DETAIL),
-        (TRIPLE, _TRIPLE_ORDER, _triple_ok, _TRIPLE_DETAIL),
+    for level, subsets, ok, detail in (
+        (SINGLETON, _SINGLES, _singleton_ok, _SINGLE_DETAIL),
+        (PAIR, _PAIRS, _pair_ok, _PAIR_DETAIL),
+        (TRIPLE, _TRIPLES, _triple_ok, _TRIPLE_DETAIL),
     ):
-        for idx in sorted(order):
+        for idx in subsets:
             if not ok(a, d1, d2, *idx):
-                w = tuple(a[x] for x in idx)
+                w = [a[x] for x in idx]
                 violations.append(QsViolation(level, idx, detail.format(i=idx, w=w)))
     return QsReport(passed=not violations, violations=tuple(violations))
 
@@ -223,5 +216,5 @@ def degrees_in_span(candidate: "Candidate") -> bool:
     Not part of quasi-smoothness; reported by the command line as a note and
     never used to reject a candidate.
     """
-    a = candidate.weights.a
-    return member(a, candidate.d1, candidate.d2) and member(a, candidate.d2, candidate.d2)
+    mem = member(candidate.weights.a, candidate.d2)
+    return mem(candidate.d1) and mem(candidate.d2)

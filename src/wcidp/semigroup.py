@@ -3,18 +3,33 @@
 The semigroup spanned by positive integers g_1, ..., g_p is the set of all
 non-negative integer combinations sum(u_i * g_i).  Membership questions of
 this kind drive every quasi-smoothness test (the gcds of weight subsets that
-well-formedness needs live in ``wellformed``).  All values in play are tiny
-(degrees stay below a few thousand in any search this package runs), so
-membership is read from a cached reachability bitmap; ``contains`` reduces
-larger values to it by the gcd of the generators and Schur's bound on the
-Frobenius number.
+well-formedness needs live in ``wellformed``).
+
+``member`` builds the membership test of one generator set, once, and every
+membership question in the package goes through it, ``contains`` included.
+It decides membership in four steps:
+
+* gcd reduction: with g the gcd of the generators, a value is a member only
+  if g divides it, and then exactly when value / g is a member of the
+  semigroup of the coprime generators a_1 < ... < a_n = generators / g;
+* Schur's cap: the Frobenius number of coprime a_1 < ... < a_n is at most
+  (a_1 - 1)(a_n - 1) - 1 (Schur's bound, Brauer 1942), so every reduced
+  value >= a_1 * a_n is a member, and a_1 = 1 makes every value one;
+* two coprime generators p and q: writing v = x*p + y*q forces
+  x = v * p^-1 (mod q), so v is a member exactly when
+  v >= p * (v * p^-1 mod q), a closed form with no table;
+* three or more: a cached reachability bitmap, read once per test, whose
+  limit is the smaller of the caller's value range and Schur's cap.
+
+The cost of a test is therefore bounded by the weights, never by the values
+asked about.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd
-from typing import Iterable
+from typing import Callable, Iterable
 
 
 def _checked_generators(generators: Iterable[int]) -> tuple[int, ...]:
@@ -32,23 +47,8 @@ def contains(generators: Iterable[int], value: int) -> bool:
 
     Negative values are never representable; zero always is (the empty
     combination).  Duplicate generators are allowed and irrelevant.
-
-    Dividing out g = gcd of the generators leaves coprime generators
-    a_1 < ... < a_n, whose Frobenius number is at most (a_1 - 1)(a_n - 1) - 1
-    (Schur's bound, Brauer 1942); every reduced value >= a_1 * a_n is
-    therefore a member, and only smaller ones are looked up in the bitmap.
     """
-    gens = _checked_generators(generators)
-    if value < 0:
-        return False
-    g = gcd(*gens)
-    if value % g:
-        return False
-    reduced = tuple(sorted({x // g for x in gens}))
-    value //= g
-    if value >= reduced[0] * reduced[-1]:
-        return True
-    return member(reduced, value, value)
+    return member(_checked_generators(generators), value)(value)
 
 
 _BITMAP_CACHE_SIZE = 1 << 15
@@ -57,16 +57,15 @@ _BITMAP_CACHE_SIZE = 1 << 15
 @lru_cache(maxsize=_BITMAP_CACHE_SIZE)
 def reachable_bitmap(generators: tuple[int, ...], limit: int) -> int:
     """Bitmap of representable values: bit v is set iff v is a non-negative
-    integer combination of the generators, for 0 <= v <= limit.
+    integer combination of the positive generators, for 0 <= v <= limit.
 
     Cached per (generator tuple, limit); the cache only accelerates repeated
     queries and has no observable effect on results.  Safe under fork-based
     multiprocessing (each worker owns its copy) and under the GIL.
     """
-    gens = _checked_generators(generators)
     full = (1 << (limit + 1)) - 1
     bitmap = 1
-    for g in gens:
+    for g in generators:
         step = g
         while step <= limit:
             bitmap |= (bitmap << step) & full
@@ -74,23 +73,47 @@ def reachable_bitmap(generators: tuple[int, ...], limit: int) -> int:
     return bitmap
 
 
-def _bucket(limit: int) -> int:
-    size = 64
-    while size < limit:
-        size <<= 1
-    return size
+def member(generators: tuple[int, ...], limit: int) -> Callable[[int], bool]:
+    """The membership test of the semigroup spanned by positive ``generators``.
 
-
-def member(generators: tuple[int, ...], value: int, limit_hint: int) -> bool:
-    """Fast membership via the cached bitmap.
-
-    ``limit_hint`` is any upper bound for the values that will be queried with
-    this generator set; it is rounded up to a power of two so repeated queries
-    share one cache entry.
+    ``limit`` is the largest value the caller expects to ask about.  It only
+    sizes the bitmap of three or more generators, rounded up to a power of
+    two so that nearby limits share one cache entry; a larger value is still
+    answered exactly.
     """
-    if value < 0:
-        return False
-    if value == 0:
-        return True
-    bucket = _bucket(max(limit_hint, value))
-    return (reachable_bitmap(generators, bucket) >> value) & 1 == 1
+    g = gcd(*generators)
+    if g > 1:
+        generators = tuple([x // g for x in generators])
+    low = generators[0]
+    if low == 1:
+        def test(v: int) -> bool:
+            return v >= 0 and v % g == 0
+        return test
+    if len(generators) == 2:
+        # The closed form holds in either order, and when q is 1.
+        p, q = low * g, generators[1]
+        inv = pow(low, -1, q)
+        if g == 1:
+            def test(v: int) -> bool:
+                return v >= p * (v * inv % q)
+        else:
+            def test(v: int) -> bool:
+                return v % g == 0 and v >= p * (v // g * inv % q)
+        return test
+    cap = min(generators) * max(generators)
+    size = min(_bucket(limit // g), cap - 1)
+    bits = reachable_bitmap(generators, size)
+
+    def test(v: int) -> bool:
+        if v % g:
+            return False
+        v //= g
+        if v > size:
+            return v >= cap or (reachable_bitmap(generators, _bucket(v)) >> v) & 1 == 1
+        return v >= 0 and (bits >> v) & 1 == 1
+    return test
+
+
+def _bucket(limit: int) -> int:
+    """The least power of two >= ``limit``, and at least 64."""
+    return 1 << max(6, (limit - 1).bit_length())

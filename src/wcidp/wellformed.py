@@ -28,10 +28,11 @@ TRIPLE_GCD = "triple-gcd"
 PAIR_GCD = "pair-gcd"
 SINGLE_GCD = "single-gcd"
 
-# Every sub-condition as (kind, indices of the weights kept), in report
-# order: omitted triples, pairs, then singles, each in lexicographic order.
+# Every sub-condition as (kind, indices of the weights kept, indices
+# omitted), in report order: omitted triples, pairs, then singles, each in
+# lexicographic order.
 _GCD_CONDITIONS = tuple(
-    (kind, tuple(k for k in range(5) if k not in omitted))
+    (kind, tuple(k for k in range(5) if k not in omitted), omitted)
     for kind, size in ((TRIPLE_GCD, 3), (PAIR_GCD, 2), (SINGLE_GCD, 1))
     for omitted in combinations(range(5), size)
 )
@@ -82,10 +83,9 @@ def check_wf(candidate: "Candidate") -> WfReport:
     a = candidate.weights.a
     d1, d2 = candidate.d1, candidate.d2
     violations = []
-    for kind, kept in _GCD_CONDITIONS:
-        b = gcd(*(a[k] for k in kept))
+    for kind, kept, omitted in _GCD_CONDITIONS:
+        b = gcd(*[a[k] for k in kept])
         if _gcd_violated(kind, b, d1, d2):
-            omitted = tuple(i for i in range(5) if i not in kept)
             violations.append(WfViolation(kind, omitted, b))
     return WfReport(passed=not violations, violations=tuple(violations))
 
@@ -93,7 +93,7 @@ def check_wf(candidate: "Candidate") -> WfReport:
 def is_well_formed(a: tuple[int, int, int, int, int], d1: int, d2: int) -> bool:
     """Short-circuiting boolean variant over a raw sorted weight tuple."""
     # Single omissions first: they are weight-only and the cheapest to refute.
-    for kind, kept in reversed(_GCD_CONDITIONS):
+    for kind, kept, _ in reversed(_GCD_CONDITIONS):
         b = 0
         for k in kept:
             b = gcd(b, a[k])

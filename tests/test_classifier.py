@@ -1,9 +1,11 @@
 """Combined verdict: canonicalization, invariants, fast-path agreement."""
 
 import random
+from collections import Counter
 
 import pytest
 
+from wcidp import classifier, quasismooth
 from wcidp.classifier import (
     Candidate,
     WeightSystem,
@@ -95,3 +97,28 @@ def test_weight_system_is_iterable_and_indexable():
     w = WeightSystem((2, 1, 5, 4, 3))
     assert list(w) == [1, 2, 3, 4, 5]
     assert w[4] == 5
+
+
+def test_predicates_are_looked_up_through_module_globals(monkeypatch):
+    # Per-layer tracing replaces these module attributes with counting
+    # wrappers, so every call must go through the module's globals:
+    # ``classify`` through ``quasismooth``'s, ``del_pezzo_quick`` through
+    # ``classifier``'s copies.
+    calls = Counter()
+    for module in (quasismooth, classifier):
+        for name in ("_singleton_ok", "_pair_ok", "_triple_ok"):
+            def counting(*args, _key=(module.__name__, name), _real=getattr(module, name)):
+                calls[_key] += 1
+                return _real(*args)
+            monkeypatch.setattr(module, name, counting)
+
+    def counts(module):
+        return tuple(calls[module.__name__, name]
+                     for name in ("_singleton_ok", "_pair_ok", "_triple_ok"))
+
+    # (3, 4, 5, 6, 7; 10, 12) passes every condition, so nothing short-circuits.
+    assert classify(Candidate.of(3, 4, 5, 6, 7, 10, 12)).is_del_pezzo
+    assert counts(quasismooth) == (5, 10, 10) and counts(classifier) == (0, 0, 0)
+    calls.clear()
+    assert del_pezzo_quick((3, 4, 5, 6, 7), 10, 12)
+    assert counts(classifier) == (5, 10, 10) and counts(quasismooth) == (0, 0, 0)

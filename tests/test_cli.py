@@ -2,10 +2,18 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import wcidp
+from wcidp.classifier import Candidate, classify
 from wcidp.cli import main
+from wcidp.semigroup import contains
 
 
 def run(capsys, *argv):
@@ -93,6 +101,72 @@ def test_check_nonempty_note(capsys):
     code, out, _ = run(capsys, "check", "--require-nonempty", "2", "2", "2", "2", "2", "3", "5")
     assert code == 3
     assert "note: a degree is not a non-negative combination" in out
+
+
+def transcribed_qs_failures(a, d1, d2):
+    """(level, indices) of every failing quasi-smoothness condition, each
+    condition written out value by value over ``semigroup.contains``."""
+    failures = []
+    for i in range(5):
+        def mem(v):
+            return contains((a[i],), v)
+        if not (mem(d1) or mem(d2) or any(e != f and mem(d1 - a[e]) and mem(d2 - a[f])
+                                          for e in range(5) for f in range(5))):
+            failures.append(("singleton", (i,)))
+    for i, j in combinations(range(5), 2):
+        def mem(v):
+            return contains((a[i], a[j]), v)
+        rest = {k for k in range(5) if k not in (i, j)}
+        if not ((mem(d1) and mem(d2))
+                or (mem(d1) and any(mem(d2 - a[e]) for e in range(5)))
+                or (mem(d2) and any(mem(d1 - a[e]) for e in range(5)))
+                or any({*E, *F} == rest and all(mem(d1 - a[e]) for e in E)
+                       and all(mem(d2 - a[f]) for f in F)
+                       for E in combinations(rest, 2) for F in combinations(rest, 2))):
+            failures.append(("pair", (i, j)))
+    for k, l, m in combinations(range(5), 3):
+        def mem(v):
+            return contains((a[k], a[l], a[m]), v)
+        i, j = (x for x in range(5) if x not in (k, l, m))
+        if not ((mem(d1) and mem(d2))
+                or (mem(d1) and mem(d2 - a[i]) and mem(d2 - a[j]))
+                or (mem(d2) and mem(d1 - a[i]) and mem(d1 - a[j]))):
+            failures.append(("triple", (k, l, m)))
+    return failures
+
+
+HUGE_DEGREES = ((10**9, 10**9 + 1), (10**9 + 1, 10**9 + 3), (10**9, 10**9 + 6),
+                (10**12 + 5, 10**12 + 9))
+
+
+@pytest.mark.parametrize("a", [(1, 2, 3, 4, 5), (4, 6, 9, 10, 15), (6, 10, 15, 21, 35),
+                               (2, 4, 6, 9, 15), (6, 9, 10, 14, 15)])
+def test_report_at_huge_degrees_matches_transcription(a):
+    for d1, d2 in HUGE_DEGREES:
+        report = classify(Candidate(a, d1, d2)).qs
+        assert [(v.level, v.indices) for v in report.violations] == \
+            transcribed_qs_failures(a, d1, d2), (a, d1, d2)
+
+
+def test_check_cost_is_bounded_by_the_weights_not_the_degrees():
+    # Membership tables sized by the degrees made this call run out of
+    # memory; a fresh interpreter with a timeout keeps a regression from
+    # stalling the suite.
+    src = str(Path(wcidp.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    tup = ("1", "2", "3", "4", "5", "1000000000", "1000000001")
+    proc = subprocess.run(
+        [sys.executable, "-m", "wcidp.cli", "check", "--explain", "--require-nonempty", *tup],
+        capture_output=True, text=True, timeout=30, env=env)
+    assert proc.returncode == 3, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "rejected: amplitude -1999999986 < 1 (I=-1999999986)"
+    failures = transcribed_qs_failures((1, 2, 3, 4, 5), 10**9, 10**9 + 1)
+    assert [line.split(":")[0] for line in lines[1:] if line.startswith("  qs ")] == [
+        f"  qs {level} indices={list(idx)}" for level, idx in failures]
+    # Weight 1 spans every value, so no note either.
+    assert len(lines) == 1 + len(failures)
 
 
 def test_enumerate_csv_exact_bytes(capsys):

@@ -1,5 +1,6 @@
 """Property tests on random candidates with a4 <= 60: the short-circuit
-predicates agree with the full reports and with their definitions."""
+predicates agree with the full reports and with their definitions, and the
+classification does not depend on the order of the input."""
 
 from itertools import permutations
 
@@ -58,3 +59,12 @@ def test_singleton_predicate_equals_its_definition(case):
         shifted = any(d1 >= a[e] and d2 >= a[f] and (d1 - a[e]) % ai == 0 and (d2 - a[f]) % ai == 0
                       for e, f in permutations(range(5), 2))
         assert _singleton_ok(a, d1, d2, i) == (d1 % ai == 0 or d2 % ai == 0 or shifted), (a, d1, d2, i)
+
+
+@FIXED
+@given(candidates(), st.data())
+def test_classification_ignores_input_order(case, data):
+    a, d1, d2 = case
+    shuffled = data.draw(st.permutations(a))
+    canonical = classify(Candidate(a, d1, d2)).as_dict()
+    assert classify(Candidate(shuffled, d2, d1)).as_dict() == canonical, (a, shuffled, d1, d2)

@@ -13,7 +13,6 @@ from wcidp.quasismooth import (
     qs_singleton,
     qs_triple,
 )
-from wcidp.semigroup import member
 
 
 def singleton_oracle(a, d1, d2, i):
@@ -31,15 +30,20 @@ def singleton_oracle(a, d1, d2, i):
     return False
 
 
+def span_oracle(gens, limit):
+    """Membership in the span of ``gens`` for values up to ``limit``, read
+    from a dynamic-programming reachability table; no package code."""
+    table = [True] + [False] * limit
+    for v in range(1, limit + 1):
+        table[v] = any(g <= v and table[v - g] for g in gens)
+    return lambda v: 0 <= v <= limit and table[v]
+
+
 def pair_oracle_nine(a, d1, d2, i, j):
     """Pair condition with the fourth branch over all nine ordered pairs of
     two-element subsets, filtered by full union; must agree with the
     six-pair implementation."""
-    gens = (a[i], a[j])
-
-    def mem(v):
-        return member(gens, v, max(d2, 1))
-
+    mem = span_oracle((a[i], a[j]), d2)
     if mem(d1) and mem(d2):
         return True
     if mem(d1) and any(mem(d2 - a[e]) for e in range(5)):
@@ -55,6 +59,27 @@ def pair_oracle_nine(a, d1, d2, i, j):
             if all(mem(d1 - a[e]) for e in E) and all(mem(d2 - a[f]) for f in F):
                 return True
     return False
+
+
+def triple_oracle(a, d1, d2, k, l, m):
+    """Triple condition, one configuration per line."""
+    mem = span_oracle((a[k], a[l], a[m]), d2)
+    i, j = (x for x in range(5) if x not in (k, l, m))
+    return ((mem(d1) and mem(d2))
+            or (mem(d1) and mem(d2 - a[i]) and mem(d2 - a[j]))
+            or (mem(d2) and mem(d1 - a[i]) and mem(d1 - a[j])))
+
+
+def oracle_sweep_cases(seed, count):
+    """Weights up to 30, two in three of them sharing a factor 2 or 3, and
+    degrees up to 2*a4 + 5, so shifts d - a_e also go negative."""
+    rng = random.Random(seed)
+    for n in range(count):
+        scale = (1, 2, 3)[n % 3]
+        a = tuple(sorted(scale * rng.randint(1, 30 // scale) for _ in range(5)))
+        d1 = rng.randint(1, 2 * a[4] + 5)
+        d2 = rng.randint(d1, 2 * a[4] + 5)
+        yield a, d1, d2
 
 
 def test_singleton_examples():
@@ -102,6 +127,20 @@ def test_pair_agrees_with_nine_subset_enumeration():
         c = Candidate(a, d1, d2)
         for i, j in combinations(range(5), 2):
             assert qs_pair(c, i, j) == pair_oracle_nine(a, d1, d2, i, j), (a, d1, d2, i, j)
+
+
+def test_pair_agrees_with_dp_oracle_on_wide_weights():
+    for a, d1, d2 in oracle_sweep_cases(7703, 1500):
+        c = Candidate(a, d1, d2)
+        for i, j in combinations(range(5), 2):
+            assert qs_pair(c, i, j) == pair_oracle_nine(a, d1, d2, i, j), (a, d1, d2, i, j)
+
+
+def test_triple_agrees_with_dp_oracle_on_wide_weights():
+    for a, d1, d2 in oracle_sweep_cases(3307, 1500):
+        c = Candidate(a, d1, d2)
+        for k, l, m in combinations(range(5), 3):
+            assert qs_triple(c, k, l, m) == triple_oracle(a, d1, d2, k, l, m), (a, d1, d2, k, l, m)
 
 
 def test_triple_examples():

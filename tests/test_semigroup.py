@@ -67,8 +67,52 @@ def test_bitmap_member_agrees_with_dp_oracle():
         k = rng.randint(1, 4)
         gens = tuple(rng.randint(1, 30) for _ in range(k))
         table = dp_reachable(gens, 200)
+        test = member(gens, 200)
         for v in range(-3, 200):
-            assert member(gens, v, 200) == (v >= 0 and table[v]), (gens, v)
+            assert test(v) == (v >= 0 and table[v]), (gens, v)
+
+
+def test_member_answers_beyond_its_limit():
+    # The limit only sizes the bitmap; values above it, below and above the
+    # Schur cap, are still decided exactly.  Out of order, (2, 11, 4) still
+    # caps at 2 * 11: 9 is not a member.
+    for gens in [(5, 7, 9), (6, 10, 15), (4, 6), (11, 13, 17, 19), (12, 20, 30), (2, 11, 4)]:
+        table = dp_reachable(gens, 600)
+        test = member(gens, 10)
+        for v in range(-40, 601):
+            assert test(v) == (v >= 0 and table[v]), (gens, v)
+
+
+def test_member_pair_closed_form_agrees_with_dp_oracle():
+    # Every ordered pair up to 40, coprime or not, equal or not.
+    for p in range(1, 41):
+        for q in range(1, 41):
+            table = dp_reachable((p, q), 3 * 40)
+            test = member((p, q), 3 * 40)
+            for v in range(-2 * q, 3 * 40 + 1):
+                assert test(v) == (v >= 0 and table[v]), (p, q, v)
+
+
+def test_member_bitmap_is_capped_by_the_weights(monkeypatch):
+    real = semigroup.reachable_bitmap
+    limits = []
+
+    def spy(generators, limit):
+        limits.append(limit)
+        return real(generators, limit)
+
+    monkeypatch.setattr(semigroup, "reachable_bitmap", spy)
+    test = member((5, 7, 9), 10**9)
+    assert limits == [5 * 9 - 1]
+    assert test(10**9) and test(10**9 + 1) and not test(11)
+    # A gcd of 3 leaves <2, 5, 7>, whose cap is 14.
+    test = member((6, 15, 21), 10**9)
+    assert limits[1:] == [2 * 7 - 1]
+    assert test(3 * 10**8) and not test(3 * 10**8 + 1) and not test(9)
+    # A reduced generator 1, and two generators, need no bitmap at all.
+    member((3, 6, 9), 10**9)
+    member((7, 9), 10**9)
+    assert len(limits) == 2
 
 
 def test_contains_never_builds_a_bitmap_proportional_to_the_value(monkeypatch):
