@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
 import os
 import sys
@@ -144,9 +145,15 @@ def cmd_enumerate(args) -> int:
         return USAGE
     # Fail a bad output path now, not after the run; the file itself is
     # opened only once the rows exist, so no error truncates it.
-    out_dir = os.path.dirname(os.path.abspath(args.output)) if args.output else None
-    if out_dir is not None and not (os.path.isdir(out_dir) and os.access(out_dir, os.W_OK)):
-        print(f"i/o failure: cannot write into directory {out_dir}", file=sys.stderr)
+    problem = None
+    if args.output:
+        out_dir = os.path.dirname(os.path.abspath(args.output))
+        if os.path.isdir(args.output):
+            problem = IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.output)
+        elif not (os.path.isdir(out_dir) and os.access(out_dir, os.W_OK)):
+            problem = f"cannot write into directory {out_dir}"
+    if problem is not None:
+        print(f"i/o failure: {problem}", file=sys.stderr)
         return MISMATCH
     progress = _progress_printer("enumerate") if args.progress else None
     try:

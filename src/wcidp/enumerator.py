@@ -7,15 +7,14 @@ the given bounds whose verdict is del Pezzo:
   with d1 <= d2 and d1 + d2 <= sum(a) - 1 (forced by amplitude >= 1) and
   classifies each.  It exists to cross-validate the shaped mode at small
   bounds without the degree-pattern theorem, and refuses max_a4 > 60 unless
-  explicitly overridden.  It works on batches: the tuples of one (a0, a1,
-  a2) prefix that pass the weight-only single-gcd conditions, cut so the
-  (tuple, d1, d2) grid stays small.  Each degree gets a 6-bit state per
-  coordinate i (which shifts d - a_e are multiples of a_i, and whether a_i
-  divides d), and a constant 64 x 64 table reads the singleton condition
-  off the states of d1 and d2.  Coordinate 4 is read first, for the whole
-  grid in one gather, because it removes nearly every pair; coordinates
-  3..0 and the gcd conditions then filter flat arrays of survivors, and
-  ``del_pezzo_quick`` classifies the few that remain.
+  explicitly overridden.  It streams the tuples that pass the weight-only
+  single-gcd conditions into batches, which may span (a0, a1, a2) prefixes
+  and are cut so that a batch's arrays stay a few hundred KB.  Each degree
+  gets one-byte singleton states per coordinate, and one bitwise AND of the
+  states of d1 and d2 reads the singleton condition.  Coordinate 4 is read
+  first, on the whole (tuple, d1, d2) grid, because it removes nearly every
+  pair; coordinates 3..0 and the gcd conditions then filter flat arrays of
+  survivors, and ``del_pezzo_quick`` classifies the few that remain.
 
 * ``shaped`` iterates only the fifteen degree patterns a quasi-smooth
   candidate can have at its largest weight: d2 = a_y + a4 (y < 4) with
@@ -44,7 +43,7 @@ from __future__ import annotations
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations
+from itertools import combinations, groupby
 from math import gcd
 from multiprocessing import Pool
 from typing import Callable, Iterator, Sequence
@@ -409,33 +408,15 @@ def _solve_shaped_chunk(max_a4: int, max_d2: int, start: int, stop: int,
 # ---------------------------------------------------------------------------
 # exhaustive mode
 
-# A batch's grid, (tuples) x dmax x dmax, is kept under this many cells: its
-# int64 gather index then stays near 256 KB, so the exhaustive run's peak
-# memory stays that of the interpreter and numpy.
-_BATCH_CELLS = 32_768
-
-
-@cache
-def _singleton_table() -> np.ndarray:
-    """The singleton verdict for every pair (state(d1), state(d2)), 64 x 64,
-    read-only.  Built at first use, so other modes never pay for it.
-
-    A degree's state at coordinate i has bit e (e < 5) set when d - a_e is a
-    non-negative multiple of a_i, and bit 5 when a_i divides d.
-    """
-    s = np.arange(64)
-    hits = s & 31
-    div = s >= 32
-    h1 = hits[:, None]
-    h2 = hits[None, :]
-    multi1 = (h1 & (h1 - 1)) != 0
-    # Two hits at d1 pair with any hit at d2; a single hit at e pairs with a
-    # hit at d2 on any f != e.
-    shifted = (multi1 & (h2 != 0)) | ((h1 != 0) & ((h2 & ~h1) != 0))
-    table = div[:, None] | div[None, :] | shifted
-    table.flags.writeable = False
-    return table
-
+# A batch of weight tuples is cut so that it needs at most this many cells.
+# A tuple needs one for each (d1, d2) of its coordinate-4 grid and 32 for
+# each degree, with degrees up to the largest that can matter.  A grid cell
+# takes two bytes (its state byte and its mask), a degree about 64 (its
+# state index and its states at the five coordinates), and the survivors of
+# coordinate 4 (eight bytes each) are a few percent of the grid; so a batch
+# needs a few hundred KB at most, and the exhaustive run's peak memory stays
+# that of the interpreter and numpy.
+_BATCH_CELLS = 1 << 18
 
 _HIT_BITS = (1 << np.arange(5)).astype(np.uint8)
 
@@ -446,14 +427,55 @@ _GCD_KEPT = {
 }
 
 
-def _singleton_states(w: np.ndarray, d: np.ndarray, coords: list[int]) -> np.ndarray:
-    """States (see ``_singleton_table``) of the degrees d at each coordinate in
-    ``coords``, stacked on a new leading axis.  The five weights run along
-    axis 0 of w; the rest of w broadcasts against d."""
-    ai = w[coords]
-    r = d % ai
-    hits = (d >= w) & (r[:, None] == w % ai[:, None])
-    return np.einsum("e,ce...->c...", _HIT_BITS, hits) | ((r == 0) << 5)
+@cache
+def _degree_tables(max_d2: int) -> tuple[np.ndarray, np.ndarray]:
+    """The residues d % a of the degrees 0..max_d2, one row per a in
+    0..max_d2 + 1 (row 0 is unused; a larger a leaves d as it is); and the
+    sums d1 + d2 of the degree pairs 1 <= d1 <= d2 <= max_d2, indexed by
+    (d1, d2), with 2 * max_d2 + 1 at every other index.  Built once per
+    bound."""
+    d = np.arange(max_d2 + 1)
+    residues = d % np.maximum(np.arange(max_d2 + 2), 1)[:, None]
+    pair_sum = (d[:, None] + d).astype(np.min_scalar_type(2 * max_d2 + 1))
+    pair_sum[(d[:, None] > d) | (d[:, None] == 0)] = 2 * max_d2 + 1
+    residues.flags.writeable = pair_sum.flags.writeable = False
+    return residues, pair_sum
+
+
+def _singleton_states(w: np.ndarray, dmax: int, max_d2: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One-byte singleton states of the degrees 0..dmax (dmax <= max_d2) of
+    the weight tuples w, (5, n): the arrays (lead, trail, reach).  lead and
+    trail are indexed by (coordinate, tuple, degree); reach[tuple, d] has bit
+    e set when a_e <= d.
+
+    At coordinate i the singleton condition holds for d1 <= d2 exactly when
+    ``lead[i, k, d1] & trail[i, k, d2]`` is non-zero.  Bit 7 of lead says
+    that a_i divides d1, and bit 6 of trail that it divides d2; each byte
+    sets the other of the two bits always.  Bit e < 5 of trail is a hit at
+    d2, d2 - a_e a non-negative multiple of a_i.  Bits 0..4 of lead are those
+    a hit at d2 needs to pair with a hit at d1: none without a hit at d1,
+    any index after several, and any index but e after the one hit e.
+    """
+    n = w.shape[1]
+    span = int(w.max())
+    # The hits of a residue class of a_i are the bits of the weights in it,
+    # summed since they differ; class 0 also carries the divisor bit.  A
+    # degree keeps the hits of its class whose weights it reaches.
+    rows = np.arange(0, 5 * n * span, span).reshape(5, n)
+    at = rows + w[:, None, :] % w
+    classes = np.bincount(at.ravel(), np.repeat(_HIT_BITS, 5 * n), 5 * n * span).astype(np.uint8)
+    classes[rows] |= 32
+    at = _degree_tables(max_d2)[0][np.minimum(w, max_d2 + 1), :dmax + 1]
+    at += rows[:, :, None]
+    reach = np.einsum("e,e...->...", _HIT_BITS, np.arange(dmax + 1) >= w[:, :, None])
+    states = classes[at]
+    states &= reach | 32
+    hits = states & 31
+    lead = hits ^ 31
+    lead |= ((hits & (hits - 1)) != 0) * np.uint8(31)
+    lead *= hits != 0
+    lead |= (states & 32) << 2 | 64
+    return lead, hits | (states & 32) << 1 | 128, reach
 
 
 def _gcd_ok(kind: str, w: np.ndarray, dd: np.ndarray | None = None) -> np.ndarray:
@@ -468,39 +490,36 @@ def _exhaustive_tuple_solutions(w: np.ndarray, max_d2: int) -> list[tuple[int, .
     """Classify every admissible degree pair for a batch of weight tuples.
 
     A batch is a (5, n) array, one column per sorted weight tuple, of tuples
-    that share (a0, a1, a2) and pass the weight-only single-gcd conditions
-    (``_prefix_batch``).  The kernel builds one (n, dmax, dmax) grid over
-    (tuple, d1, d2) with dmax = min(max_d2, largest sum(w) - 2) and gives
-    each degree a 6-bit singleton state per coordinate, so that
-    ``_singleton_table`` reads the singleton condition off a pair of states.
-    Coordinate 4 goes first, as one gather over the whole grid, with the
-    d1 <= d2, amplitude and cone masks on the same cells: it removes nearly
-    all the pairs those leave (96 % at (20, 40)), so coordinates 3..0 and
-    the gcd conditions run on short flat arrays of survivors, and the few
-    left are re-classified exactly by ``del_pezzo_quick``.  Results come in
-    (tuple, d1, d2) order, so a batch gives the concatenation of what its
-    columns give one at a time.
+    that pass the weight-only single-gcd conditions; it may span prefixes.
+    Each degree up to the batch's largest d2 gets one-byte singleton states
+    (``_singleton_states``).  Coordinate 4 goes first, on the (tuple, d1, d2)
+    grid, with the linear-cone test folded into its states and d1 <= d2 and
+    each tuple's amplitude masked in: it removes nearly every pair (96 % at
+    (20, 40)).  Coordinates 3..0 and the gcd conditions then filter flat
+    arrays of survivors, and the few left are re-classified exactly by
+    ``del_pezzo_quick``.  Results come in (tuple, d1, d2) order, so a batch
+    gives the concatenation of what its columns give one at a time.
     """
     total = w.sum(axis=0)
     dmax = min(max_d2, int(total.max()) - 2)
-    if dmax < 1:
-        return []
-    d = np.arange(1, dmax + 1)
-    states = _singleton_states(w[:, :, None], d, [4, 3, 2, 1, 0])
-    s4 = states[0]
-    table = _singleton_table()
-    keep = table.take((s4 << 6)[:, :, None] | s4[:, None, :])
-    # d1 > d2 gets a sum no tuple's amplitude admits.
-    pair_sum = np.where(d[:, None] <= d[None, :], d[:, None] + d[None, :], total.max())
-    keep &= pair_sum < total[:, None, None]
-    live = (d != w[:, :, None]).all(axis=0)
-    keep &= live[:, :, None]
-    keep &= live[:, None, :]
-    k, i1, i2 = np.unravel_index(np.flatnonzero(keep), keep.shape)
-    if not len(k):
-        return []
-    ok = table[states[1:, k, i1], states[1:, k, i2]].all(axis=0)
-    w, dd = w[:, k[ok]], np.array((i1[ok], i2[ok])) + 1
+    lead, trail, reach = _singleton_states(w, dmax, max_d2)
+    # A degree equal to a weight makes a linear cone; there, and only
+    # there, the reach grows.
+    cone = reach[:, 1:] != reach[:, :-1]
+    lead[4, :, 1:][cone] = 0
+    trail[4, :, 1:][cone] = 0
+    grid = lead[4][:, :, None] & trail[4][:, None, :]
+    hit = grid.view(bool)
+    np.not_equal(grid, 0, out=hit)
+    pair_sum = _degree_tables(max_d2)[1][:dmax + 1, :dmax + 1]
+    hit &= pair_sum < np.minimum(total, 2 * max_d2 + 1).astype(pair_sum.dtype)[:, None, None]
+    k, d1, d2 = np.unravel_index(np.flatnonzero(hit), hit.shape)
+    del grid, hit
+    at1, at2 = k * (dmax + 1) + d1, k * (dmax + 1) + d2
+    ok = np.ones(len(k), dtype=bool)
+    for i in (3, 2, 1, 0):
+        ok &= (lead[i].ravel()[at1] & trail[i].ravel()[at2]) != 0
+    w, dd = w[:, k[ok]], np.array((d1[ok], d2[ok]))
     for kind in (TRIPLE_GCD, PAIR_GCD):
         ok = _gcd_ok(kind, w, dd)
         w, dd = w[:, ok], dd[:, ok]
@@ -511,26 +530,50 @@ def _exhaustive_tuple_solutions(w: np.ndarray, max_d2: int) -> list[tuple[int, .
     return sols
 
 
-def _prefix_batch(a0: int, a1: int, a2: int, max_a4: int) -> np.ndarray:
-    """The weight tuples (a0, a1, a2, a3, a4) with a2 <= a3 <= a4 <= max_a4
-    whose four-weight subsets are coprime, one column each in lexicographic
-    order: a (5, n) array."""
-    a3, a4 = np.triu_indices(max_a4 - a2 + 1)
-    w = np.empty((5, len(a3)), dtype=np.int64)
-    w[:3] = [[a0], [a1], [a2]]
-    w[3] = a2 + a3
-    w[4] = a2 + a4
-    return w[:, _gcd_ok(SINGLE_GCD, w)]
+@cache
+def _weight_triples(max_a4: int) -> np.ndarray:
+    """Every sorted (a2, a3, a4) with entries in 1..max_a4, one column each in
+    lexicographic order: a (3, n) array, built once per bound."""
+    a = np.arange(1, max_a4 + 1, dtype=np.min_scalar_type(max_a4))
+    triples = a[np.array(np.nonzero((a[:, None, None] <= a[:, None]) & (a[:, None] <= a)))]
+    triples.flags.writeable = False
+    return triples
+
+
+def _prefix_tuples(max_a4: int, start: int, stop: int, size: int) -> Iterator[np.ndarray]:
+    """The weight tuples of the prefixes start..stop-1 whose four-weight
+    subsets are coprime, in lexicographic order, as (5, m) arrays, each cut
+    from at most ``size`` sorted tuples."""
+    triples = _weight_triples(max_a4)
+    whole = prefix_count(max_a4)
+    for (a0, a1), group in groupby(_iter_prefixes(max_a4, start, stop), key=lambda p: p[:2]):
+        a2s = [p[2] for p in group]
+        # Sorted triples from a2 on are a suffix: prefix_count counts them.
+        lo, hi = whole - prefix_count(max_a4 - a2s[0] + 1), whole - prefix_count(max_a4 - a2s[-1])
+        for cut in range(lo, hi, size):
+            tail = triples[:, cut:min(cut + size, hi)]
+            w = np.empty((5, tail.shape[1]), dtype=np.int64)
+            w[:2] = [[a0], [a1]]
+            w[2:] = tail
+            yield w[:, _gcd_ok(SINGLE_GCD, w)]
 
 
 def _solve_exhaustive_chunk(max_a4: int, max_d2: int, start: int, stop: int) -> list[tuple[int, ...]]:
+    # No admissible degree exceeds the largest sum(w) - 2.  Every tuple is
+    # charged the cells of that largest box, so ``step`` tuples stay within
+    # _BATCH_CELLS whichever prefixes they come from; what one piece leaves
+    # over is carried into the next batch.
+    side = min(max_d2, 5 * max_a4 - 2)
+    step = max(1, _BATCH_CELLS // ((side + 1) * (side + 33)))
     sols = []
-    for a0, a1, a2 in _iter_prefixes(max_a4, start, stop):
-        w = _prefix_batch(a0, a1, a2, max_a4)
-        side = min(max_d2, a0 + a1 + a2 + 2 * max_a4 - 2)
-        step = max(1, _BATCH_CELLS // (side * side))
-        for lo in range(0, w.shape[1], step):
-            sols.extend(_exhaustive_tuple_solutions(w[:, lo:lo + step], max_d2))
+    held = np.empty((5, 0), dtype=np.int64)
+    for w in _prefix_tuples(max_a4, start, stop, step):
+        held = np.concatenate((held, w), axis=1)
+        while held.shape[1] >= step:
+            sols.extend(_exhaustive_tuple_solutions(held[:, :step], side))
+            held = held[:, step:]
+    if held.shape[1]:
+        sols.extend(_exhaustive_tuple_solutions(held, side))
     return sols
 
 

@@ -4,7 +4,8 @@ Every criterion is exact (set equality or boolean equivalence); the stated
 runtime ceilings are asserted where the criterion names one.  The full-bound
 reproduction is hours long and therefore opt-in: set WCIDP_FULL_RUN=1.
 A complete golden-table reproduction at covering bounds (every known sporadic
-solution has a4 <= 97 and d2 <= 152) is likewise opt-in via WCIDP_SLOW=1.
+solution has a4 <= 97 and d2 <= 152) and the exhaustive cross-check over the
+desk box (60, 120) are likewise opt-in via WCIDP_SLOW=1.
 """
 
 import io
@@ -20,7 +21,7 @@ from wcidp.cli import _write_csv
 from wcidp.enumerator import Bounds, _top_pair_member, degree_shapes, enumerate_solutions
 
 DESK_BOUNDS = Bounds(60, 120)
-CROSS_BOUNDS = Bounds(30, 60)
+CROSS_BOUNDS = Bounds(40, 80)
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +114,21 @@ def test_c05_exhaustive_and_shaped_agree(cross_results):
     assert [c.key for c in exhaustive.solutions] == [c.key for c in shaped.solutions]
     print(f"criterion 5 PASS: modes agree on {len(shaped.solutions)} solutions "
           f"at ({CROSS_BOUNDS.max_a4},{CROSS_BOUNDS.max_d2}) in {elapsed:.0f}s")
+
+
+@pytest.mark.skipif(
+    not os.environ.get("WCIDP_SLOW"),
+    reason="exhaustive search of the desk box takes minutes; set WCIDP_SLOW=1",
+)
+def test_c05_exhaustive_and_shaped_agree_at_desk_scale(desk_result):
+    shaped, _ = desk_result
+    jobs = int(os.environ.get("WCIDP_JOBS", str(os.cpu_count() or 1)))
+    t0 = time.monotonic()
+    exhaustive = enumerate_solutions(DESK_BOUNDS, mode="exhaustive", jobs=jobs)
+    elapsed = time.monotonic() - t0
+    assert [c.key for c in exhaustive.solutions] == [c.key for c in shaped.solutions]
+    print(f"criterion 5 (desk box) PASS: modes agree on {len(shaped.solutions)} solutions "
+          f"at ({DESK_BOUNDS.max_a4},{DESK_BOUNDS.max_d2}) in {elapsed:.0f}s with jobs={jobs}")
 
 
 def test_c06_degree_bounds_hold_on_exhaustive_output(cross_results):

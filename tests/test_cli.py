@@ -1,6 +1,7 @@
 """Command-line contract: formats, exit codes, golden verification."""
 
 import csv
+import errno
 import json
 import os
 import subprocess
@@ -217,6 +218,18 @@ def test_enumerate_rejects_unwritable_output_before_the_run(tmp_path, capsys, mo
     assert code == 1 and out == ""
     assert err.startswith("i/o failure:")
     assert not missing.parent.exists()
+
+
+def test_enumerate_rejects_a_directory_as_output_before_the_run(tmp_path, capsys, monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("enumeration ran before the output path was checked")
+
+    monkeypatch.setattr("wcidp.cli.enumerate_solutions", must_not_run)
+    code, out, err = run(capsys, "enumerate", "--max-a4", "12", "--output", str(tmp_path))
+    assert code == 1 and out == ""
+    # The same message the failed open reported after the whole run.
+    reason = os.strerror(errno.EISDIR)
+    assert err == f"i/o failure: [Errno {errno.EISDIR}] {reason}: {str(tmp_path)!r}\n"
 
 
 def test_enumerate_progress_goes_to_stderr(capsys):

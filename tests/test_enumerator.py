@@ -1,6 +1,7 @@
 """Search modes, degree patterns, partitioning, determinism."""
 
 from itertools import combinations_with_replacement
+from math import gcd
 
 import numpy as np
 import pytest
@@ -14,9 +15,10 @@ from wcidp.enumerator import (
     _candidates_reference,
     _exhaustive_tuple_solutions,
     _iter_prefixes,
-    _prefix_batch,
+    _prefix_tuples,
     _singleton_states,
-    _singleton_table,
+    _solve_chunk,
+    _solve_exhaustive_chunk,
     _solve_shaped_chunk,
     degree_shapes,
     enumerate_solutions,
@@ -29,6 +31,12 @@ from wcidp.quasismooth import _singleton_ok
 
 def keys(result):
     return [c.key for c in result.solutions]
+
+
+def prefix_batch(prefix, max_a4):
+    """The coprime weight tuples of one (a0, a1, a2) prefix, as a (5, n) array."""
+    i = list(_iter_prefixes(max_a4, 0, prefix_count(max_a4))).index(prefix)
+    return np.concatenate(list(_prefix_tuples(max_a4, i, i + 1, 7)), axis=1)
 
 
 def reference_keys(max_a4, max_d2):
@@ -152,13 +160,15 @@ def test_partition_covers_and_merges():
 
 
 def test_partition_ranges_solve_and_merge_to_single_job_result():
-    from wcidp.enumerator import _solve_chunk
-
     bounds = Bounds(10, 20)
-    merged = []
-    for r in partition(bounds, 4):
-        merged.extend(_solve_chunk((10, 20, "shaped", r.start, r.stop)))
-    assert sorted(merged) == keys(enumerate_solutions(bounds, jobs=1))
+    for mode in ("shaped", "exhaustive"):
+        merged = []
+        for r in partition(bounds, 4):
+            merged.extend(_solve_chunk((10, 20, mode, r.start, r.stop)))
+        assert sorted(merged) == keys(enumerate_solutions(bounds, jobs=1)), mode
+        # An empty range, as trailing ranges are when jobs exceed prefixes.
+        empty = PrefixRange(5, 5)
+        assert _solve_chunk((10, 20, mode, empty.start, empty.stop)) == [], mode
 
 
 def test_partition_allows_more_jobs_than_prefixes():
@@ -169,9 +179,10 @@ def test_partition_allows_more_jobs_than_prefixes():
 
 
 def test_jobs_do_not_change_results():
-    one = keys(enumerate_solutions(Bounds(16, 32), jobs=1))
-    two = keys(enumerate_solutions(Bounds(16, 32), jobs=2))
-    assert one == two
+    for mode in ("shaped", "exhaustive"):
+        one = keys(enumerate_solutions(Bounds(16, 32), mode=mode, jobs=1))
+        two = keys(enumerate_solutions(Bounds(16, 32), mode=mode, jobs=2))
+        assert one == two, mode
 
 
 def test_progress_callback_reports_completion():
@@ -192,17 +203,16 @@ def test_exhaustive_refuses_large_bounds_without_override():
 
 
 def test_state_table_equals_singleton_predicate():
-    # The exhaustive kernel reads the singleton condition off a 64 x 64 table
-    # of degree states; it must agree with the one predicate in quasismooth.
-    table = _singleton_table()
+    # The exhaustive kernel reads the singleton condition as lead(d1) &
+    # trail(d2) != 0 on one-byte degree states; it must agree with the one
+    # predicate in quasismooth.
     for w in combinations_with_replacement(range(1, 8), 5):
         top = 2 * sum(w)
-        d = np.arange(1, top + 1)
-        states = _singleton_states(np.array(w)[:, None], d, list(range(5)))
-        for i, s in enumerate(states):
-            verdict = table[s[:, None], s[None, :]].tolist()
+        lead, trail, _ = _singleton_states(np.array(w)[:, None], top, top)
+        for i in range(5):
+            verdict = ((lead[i, 0][:, None] & trail[i, 0][None, :]) != 0).tolist()
             wrong = [(d1, d2) for d1 in range(1, top + 1) for d2 in range(d1, top + 1)
-                     if verdict[d1 - 1][d2 - 1] != _singleton_ok(w, d1, d2, i)]
+                     if verdict[d1][d2] != _singleton_ok(w, d1, d2, i)]
             assert not wrong, (w, i, wrong[:5])
 
 
@@ -219,16 +229,47 @@ def test_exhaustive_mode_equals_brute_force():
 def test_exhaustive_batches_split_freely():
     max_a4, max_d2 = 10, 20
     for prefix in [(1, 1, 1), (1, 2, 3), (2, 3, 4), (3, 3, 5)]:
-        batch = _prefix_batch(*prefix, max_a4)
+        batch = prefix_batch(prefix, max_a4)
         whole = _exhaustive_tuple_solutions(batch, max_d2)
         parts = []
         for j in range(batch.shape[1]):
             parts.extend(_exhaustive_tuple_solutions(batch[:, j:j + 1], max_d2))
         assert whole == parts, prefix
     # (1, 1, 1) holds tuples whose own dmax, sum(w) - 2, is below the batch's.
-    sums = _prefix_batch(1, 1, 1, max_a4).sum(axis=0)
+    sums = prefix_batch((1, 1, 1), max_a4).sum(axis=0)
     assert sums.min() - 2 < max_d2 <= sums.max() - 2
-    assert _exhaustive_tuple_solutions(_prefix_batch(1, 1, 1, max_a4), max_d2)
+    assert _exhaustive_tuple_solutions(prefix_batch((1, 1, 1), max_a4), max_d2)
+    # A batch may span prefixes whose tuples have different sums.
+    first, second = prefix_batch((1, 1, 1), max_a4), prefix_batch((3, 3, 5), max_a4)
+    assert first.sum(axis=0).max() != second.sum(axis=0).max()
+    spanning = _exhaustive_tuple_solutions(np.concatenate((first, second), axis=1), max_d2)
+    assert spanning == (_exhaustive_tuple_solutions(first, max_d2)
+                        + _exhaustive_tuple_solutions(second, max_d2))
+
+
+def test_prefix_tuples_stream_every_coprime_tuple_in_order():
+    max_a4 = 9
+    coprime = [w for w in combinations_with_replacement(range(1, max_a4 + 1), 5)
+               if all(gcd(*(w[k] for k in range(5) if k != j)) == 1 for j in range(5))]
+    total = prefix_count(max_a4)
+    for size in (1, 5, 1000):
+        for start, stop in [(0, total), (3, 40), (40, 41), (41, 41)]:
+            pieces = list(_prefix_tuples(max_a4, start, stop, size))
+            assert all(p.shape[1] <= size for p in pieces)
+            prefixes = set(_iter_prefixes(max_a4, start, stop))
+            got = [tuple(c) for p in pieces for c in p.T.tolist()]
+            assert got == [w for w in coprime if w[:3] in prefixes], (size, start, stop)
+
+
+def test_exhaustive_chunk_result_does_not_depend_on_batch_size(monkeypatch):
+    # Batches carry tuples across prefixes and pieces; any cut gives the same
+    # solutions in the same order.
+    stop = prefix_count(10)
+    default = _solve_exhaustive_chunk(10, 20, 0, stop)
+    assert len(default) == len(set(default)) > 0
+    for cells in (1, 3000, 50_000):
+        monkeypatch.setattr(enumerator, "_BATCH_CELLS", cells)
+        assert _solve_exhaustive_chunk(10, 20, 0, stop) == default, cells
 
 
 def test_stage_counts_at_20_40_are_pinned(monkeypatch):
