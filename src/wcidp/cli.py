@@ -23,6 +23,7 @@ from .enumerator import (
     MODE_SHAPED,
     Bounds,
     EnumerationResult,
+    _check_request,
     enumerate_solutions,
 )
 from .quasismooth import degrees_in_span
@@ -36,16 +37,30 @@ CSV_HEADER = "a0,a1,a2,a3,a4,d1,d2"
 
 _PROGRESS_HELP = ("print a line of text on stderr about once a second "
                   "(chunks done, solutions so far)")
+_JOBS_HELP = "worker processes (default: WCIDP_JOBS if set, else 1)"
 
 
-def _default_jobs() -> int:
-    env = os.environ.get("WCIDP_JOBS")
-    if env:
+def _usage(problem, what: str = "usage error") -> int:
+    print(f"{what}: {problem}", file=sys.stderr)
+    return USAGE
+
+
+def _request(args, mode: str = MODE_SHAPED, allow_large_exhaustive: bool = False
+             ) -> tuple[Bounds, int]:
+    """The bounds and job count a run asks for, refused with ValueError
+    before any work: ``--jobs``, else ``WCIDP_JOBS``, else 1."""
+    bounds = Bounds(args.max_a4, args.max_d2 if args.max_d2 is not None else 2 * args.max_a4)
+    jobs = args.jobs
+    if jobs is None:
+        env = os.environ.get("WCIDP_JOBS") or "1"
         try:
-            return max(1, int(env))
+            jobs = int(env)
         except ValueError:
-            pass
-    return 1
+            jobs = 0
+        if jobs < 1:
+            raise ValueError(f"WCIDP_JOBS must be an integer >= 1, got {env!r}")
+    _check_request(bounds, mode, jobs, allow_large_exhaustive)
+    return bounds, jobs
 
 
 def _progress_printer(label: str):
@@ -100,20 +115,13 @@ def cmd_check(args) -> int:
     try:
         c = _parse_tuple(args.tuple)
     except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return USAGE
+        return _usage(exc)
     verdict = classify(c)
     for line in _verdict_lines(c, verdict, args.explain):
         print(line)
     if args.require_nonempty and not degrees_in_span(c):
         print("note: a degree is not a non-negative combination of the weights")
     return OK if verdict.is_del_pezzo else NEGATIVE
-
-
-def _result_rows(result: EnumerationResult, exclude_families: bool):
-    if exclude_families:
-        return result.sporadic
-    return result.solutions
 
 
 def _write_csv(rows, sink) -> None:
@@ -137,12 +145,10 @@ def _write_jsonl(result: EnumerationResult, rows, sink) -> None:
 
 
 def cmd_enumerate(args) -> int:
-    max_d2 = args.max_d2 if args.max_d2 is not None else 2 * args.max_a4
     try:
-        bounds = Bounds(args.max_a4, max_d2)
+        bounds, jobs = _request(args, args.mode, args.allow_big_exhaustive)
     except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return USAGE
+        return _usage(exc)
     # Fail a bad output path now, not after the run; the file itself is
     # opened only once the rows exist, so no error truncates it.
     problem = None
@@ -156,15 +162,9 @@ def cmd_enumerate(args) -> int:
         print(f"i/o failure: {problem}", file=sys.stderr)
         return MISMATCH
     progress = _progress_printer("enumerate") if args.progress else None
-    try:
-        result = enumerate_solutions(
-            bounds, mode=args.mode, jobs=args.jobs, progress=progress,
-            allow_large_exhaustive=args.allow_big_exhaustive,
-        )
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return USAGE
-    rows = _result_rows(result, args.exclude_families)
+    result = enumerate_solutions(bounds, mode=args.mode, jobs=jobs, progress=progress,
+                                 allow_large_exhaustive=args.allow_big_exhaustive)
+    rows = result.sporadic if args.exclude_families else result.solutions
     try:
         sink = open(args.output, "w", newline="") if args.output else sys.stdout
         try:
@@ -195,41 +195,31 @@ def cmd_families(args) -> int:
         return OK
     if args.family_cmd == "instantiate":
         try:
-            spec = families.family(args.id)
-        except ValueError as exc:
-            print(f"usage error: {exc}", file=sys.stderr)
-            return USAGE
-        try:
             params = {}
             for item in args.params:
                 name, _, value = item.partition("=")
                 params[name] = int(value)
         except ValueError:
-            print(f"usage error: parameters must look like t=2, got {args.params!r}",
-                  file=sys.stderr)
-            return USAGE
+            return _usage(f"parameters must look like t=2, got {args.params!r}")
         try:
-            reason = families.invalid_reason(spec.id, params)
+            reason = families.invalid_reason(args.id, params)
         except (ValueError, OverflowError) as exc:
-            print(f"usage error: {exc}", file=sys.stderr)
-            return USAGE
+            return _usage(exc)
         if reason is not None:
             print(f"invalid parameters: {reason}")
             return NEGATIVE
-        c = families.instantiate(spec.id, params)
+        c = families.instantiate(args.id, params)
         print(",".join(map(str, c.key)))
         return OK
     if args.family_cmd == "match":
         try:
             c = _parse_tuple(args.tuple)
         except ValueError as exc:
-            print(f"usage error: {exc}", file=sys.stderr)
-            return USAGE
+            return _usage(exc)
         try:
             matches = families.match_tuple(c)
         except OverflowError as exc:
-            print(f"usage error: {exc}", file=sys.stderr)
-            return USAGE
+            return _usage(exc)
         for m in matches:
             params = " ".join(f"{k}={v}" for k, v in m.assignment)
             print(f"id={m.family_id} {params}")
@@ -259,20 +249,15 @@ def _load_family_samples() -> dict[int, list[dict[str, int]]]:
 
 
 def cmd_verify(args) -> int:
-    max_d2 = args.max_d2 if args.max_d2 is not None else 2 * args.max_a4
     try:
-        bounds = Bounds(args.max_a4, max_d2)
-        if args.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {args.jobs}")
+        bounds, jobs = _request(args)
     except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return USAGE
+        return _usage(exc)
     try:
         golden = _load_sporadic_asset(args.sporadic_asset)
         samples = _load_family_samples()
     except (OSError, KeyError, ValueError, TypeError) as exc:
-        print(f"missing or unreadable golden assets: {exc}", file=sys.stderr)
-        return USAGE
+        return _usage(exc, "missing or unreadable golden assets")
 
     failures = 0
 
@@ -301,7 +286,7 @@ def cmd_verify(args) -> int:
         print(f"PASS all {total} frozen family samples classify with the stated amplitude")
 
     progress = _progress_printer("verify") if args.progress else None
-    result = enumerate_solutions(bounds, jobs=args.jobs, progress=progress)
+    result = enumerate_solutions(bounds, jobs=jobs, progress=progress)
     found = [c.key for c in result.sporadic]
     expected = [row for row in golden if row[4] <= bounds.max_a4 and row[6] <= bounds.max_d2]
     missing = sorted(set(expected) - set(found))
@@ -346,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--exclude-families", action="store_true",
                         help="emit only sporadic solutions")
     p_enum.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    p_enum.add_argument("--jobs", type=int, default=_default_jobs())
+    p_enum.add_argument("--jobs", type=int, help=_JOBS_HELP)
     p_enum.add_argument("--output", default=None, help="output path (default stdout)")
     p_enum.add_argument("--progress", action="store_true",
                         help=_PROGRESS_HELP)
@@ -367,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="re-derive and compare against golden data")
     p_verify.add_argument("--max-a4", type=int, default=60)
     p_verify.add_argument("--max-d2", type=int, default=None)
-    p_verify.add_argument("--jobs", type=int, default=_default_jobs())
+    p_verify.add_argument("--jobs", type=int, help=_JOBS_HELP)
     p_verify.add_argument("--sporadic-asset", default=None,
                           help="override the shipped sporadic table (for audits)")
     p_verify.add_argument("--progress", action="store_true", help=_PROGRESS_HELP)

@@ -35,14 +35,16 @@ the given bounds whose verdict is del Pezzo:
 
 Work is partitioned into disjoint (a0, a1, a2) prefix ranges; workers share
 nothing mutable and the merged, sorted result is identical for every job
-count.
+count.  The search ends there: which solutions are series instances is
+asked of ``families`` only when ``EnumerationResult.sporadic`` or
+``.family_instances`` is first read.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import combinations, groupby
 from math import gcd
 from multiprocessing import Pool
@@ -92,11 +94,32 @@ class PrefixRange:
 
 @dataclass(frozen=True)
 class EnumerationResult:
+    """Every del Pezzo candidate in a box, sorted by tuple.
+
+    ``sporadic`` and ``family_instances`` split ``solutions`` by the
+    series instances inside ``bounds``.  That index is built on the first
+    read of either view and kept, so a caller that reads only
+    ``solutions`` never pays for it.
+    """
+
     bounds: Bounds
     mode: str
     solutions: tuple[Candidate, ...]
-    sporadic: tuple[Candidate, ...]
-    family_instances: tuple[tuple[Candidate, tuple[FamilyMatch, ...]], ...]
+
+    @cached_property
+    def _instances(self) -> dict[tuple[int, ...], tuple[FamilyMatch, ...]]:
+        return families.instances_within(self.bounds.max_a4, self.bounds.max_d2)
+
+    @cached_property
+    def sporadic(self) -> tuple[Candidate, ...]:
+        """The solutions that no series instance accounts for."""
+        return tuple(c for c in self.solutions if c.key not in self._instances)
+
+    @cached_property
+    def family_instances(self) -> tuple[tuple[Candidate, tuple[FamilyMatch, ...]], ...]:
+        """Each solution that is a series instance, with every match."""
+        return tuple((c, self._instances[c.key]) for c in self.solutions
+                     if c.key in self._instances)
 
 
 # ---------------------------------------------------------------------------
@@ -587,19 +610,8 @@ def _solve_chunk(args: tuple) -> list[tuple[int, ...]]:
     return _solve_shaped_chunk(max_a4, max_d2, start, stop, _candidates_fast)
 
 
-def enumerate_solutions(
-    bounds: Bounds,
-    mode: str = MODE_SHAPED,
-    jobs: int = 1,
-    progress: Callable[[int, int, int], None] | None = None,
-    allow_large_exhaustive: bool = False,
-) -> EnumerationResult:
-    """All del Pezzo candidates within the bounds, split into family
-    instances and sporadic solutions.
-
-    ``progress`` is called as progress(done_chunks, total_chunks,
-    solutions_so_far) after each completed prefix chunk.
-    """
+def _check_request(bounds: Bounds, mode: str, jobs: int, allow_large_exhaustive: bool) -> None:
+    """Raise ValueError for a request ``enumerate_solutions`` would refuse."""
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if mode == MODE_EXHAUSTIVE and bounds.max_a4 > EXHAUSTIVE_A4_LIMIT and not allow_large_exhaustive:
@@ -611,6 +623,21 @@ def enumerate_solutions(
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
 
+
+def enumerate_solutions(
+    bounds: Bounds,
+    mode: str = MODE_SHAPED,
+    jobs: int = 1,
+    progress: Callable[[int, int, int], None] | None = None,
+    allow_large_exhaustive: bool = False,
+) -> EnumerationResult:
+    """All del Pezzo candidates within the bounds, sorted.
+
+    A request it refuses raises ValueError before any work.  ``progress``
+    is called as progress(done_chunks, total_chunks, solutions_so_far) after
+    each completed prefix chunk.
+    """
+    _check_request(bounds, mode, jobs, allow_large_exhaustive)
     total = prefix_count(bounds.max_a4)
     n_chunks = max(1, min(total, max(jobs * 16, 64)))
     chunk_args = [(bounds.max_a4, bounds.max_d2, mode, r.start, r.stop)
@@ -624,26 +651,8 @@ def enumerate_solutions(
             if progress is not None:
                 progress(done, n_chunks, len(raw))
 
-    keys = sorted(set(raw))
-    matches = families.instances_within(bounds.max_a4, bounds.max_d2)
-    solutions = []
-    sporadic_list = []
-    instances = []
-    for key in keys:
-        c = Candidate(key[:5], key[5], key[6])
-        solutions.append(c)
-        found = matches.get(key, ())
-        if found:
-            instances.append((c, found))
-        else:
-            sporadic_list.append(c)
-    return EnumerationResult(
-        bounds=bounds,
-        mode=mode,
-        solutions=tuple(solutions),
-        sporadic=tuple(sporadic_list),
-        family_instances=tuple(instances),
-    )
+    solutions = tuple(Candidate(key[:5], key[5], key[6]) for key in sorted(set(raw)))
+    return EnumerationResult(bounds=bounds, mode=mode, solutions=solutions)
 
 
 def sporadic(bounds: Bounds, mode: str = MODE_SHAPED, jobs: int = 1,

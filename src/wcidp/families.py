@@ -232,7 +232,7 @@ def _instance_or_reason(
     """Evaluate one assignment: (7-tuple, None) when valid, else (None, reason)."""
     for name in spec.parameters:
         v = params[name]
-        if not isinstance(v, int) or v < 1:
+        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
             return None, f"{name} must be a positive integer, got {v!r}"
     env = _frac_env(spec, params)
     for text, code in spec._codes["constraints"]:
@@ -259,28 +259,28 @@ def _instance_or_reason(
     return tuple(values), None
 
 
+def _evaluate(family_id: int, params: Mapping[str, int]) -> tuple[tuple[int, ...] | None, str | None]:
+    """``_instance_or_reason`` for a series named by id; an unknown id or a
+    wrong set of parameter names raises ValueError."""
+    spec = family(family_id)
+    _checked_names(spec, params)
+    return _instance_or_reason(spec, params)
+
+
 def valid_params(family_id: int, params: Mapping[str, int]) -> bool:
     """True when the assignment satisfies every constraint and instantiates
     to a canonical tuple (positive ascending weights, d1 <= d2)."""
-    spec = family(family_id)
-    _checked_names(spec, params)
-    key, _ = _instance_or_reason(spec, params)
-    return key is not None
+    return _evaluate(family_id, params)[0] is not None
 
 
 def invalid_reason(family_id: int, params: Mapping[str, int]) -> str | None:
     """The first failed constraint (verbatim), or None when valid."""
-    spec = family(family_id)
-    _checked_names(spec, params)
-    _, reason = _instance_or_reason(spec, params)
-    return reason
+    return _evaluate(family_id, params)[1]
 
 
 def instantiate(family_id: int, params: Mapping[str, int]) -> Candidate:
     """The concrete candidate for a valid assignment."""
-    spec = family(family_id)
-    _checked_names(spec, params)
-    key, reason = _instance_or_reason(spec, params)
+    key, reason = _evaluate(family_id, params)
     if key is None:
         raise ValueError(f"invalid parameters for family {family_id}: {reason}")
     return Candidate(key[:5], key[5], key[6])

@@ -250,6 +250,40 @@ def test_enumerate_rejects_bad_bounds(capsys):
     assert code == 2
 
 
+def test_error_inside_a_run_is_not_a_usage_error(capsys, monkeypatch):
+    def broken(args):
+        raise ValueError("broken chunk")
+
+    monkeypatch.delenv("WCIDP_JOBS", raising=False)
+    monkeypatch.setattr("wcidp.enumerator._solve_chunk", broken)
+    with pytest.raises(ValueError, match="broken chunk"):
+        main(["enumerate", "--max-a4", "5"])
+    assert "usage error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["enumerate", "--max-a4", "5"], ["verify", "--max-a4", "5"]])
+@pytest.mark.parametrize("value", ["0", "-3", "two"])
+def test_bad_wcidp_jobs_is_a_usage_error_before_any_work(capsys, monkeypatch, command, value):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the run started despite a bad WCIDP_JOBS")
+
+    monkeypatch.setenv("WCIDP_JOBS", value)
+    monkeypatch.setattr("wcidp.cli.enumerate_solutions", must_not_run)
+    monkeypatch.setattr("wcidp.cli.classify", must_not_run)
+    code, out, err = run(capsys, *command)
+    assert code == 2 and out == ""
+    assert err == f"usage error: WCIDP_JOBS must be an integer >= 1, got {value!r}\n"
+
+
+def test_jobs_flag_wins_over_wcidp_jobs(capsys, monkeypatch):
+    monkeypatch.setenv("WCIDP_JOBS", "two")
+    code, out, _ = run(capsys, "enumerate", "--max-a4", "3", "--jobs", "1")
+    assert code == 0 and out.startswith("a0,a1,a2,a3,a4,d1,d2\n")
+    monkeypatch.setenv("WCIDP_JOBS", "2")
+    code, out2, _ = run(capsys, "enumerate", "--max-a4", "3")
+    assert code == 0 and out2 == out
+
+
 def test_families_list(capsys):
     code, out, _ = run(capsys, "families", "list")
     assert code == 0

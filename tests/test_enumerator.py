@@ -6,7 +6,7 @@ from math import gcd
 import numpy as np
 import pytest
 
-from wcidp import classifier, enumerator
+from wcidp import classifier, enumerator, families
 from wcidp.classifier import Candidate, classify, del_pezzo_quick
 from wcidp.enumerator import (
     Bounds,
@@ -83,6 +83,29 @@ def test_desk_example_bounds_3_6():
     spor = {c.key for c in sporadic(Bounds(3, 6))}
     assert spor == {(1, 2, 2, 3, 3, 4, 6), (2, 2, 3, 3, 3, 6, 6)}
     assert sporadic(Bounds(1, 10)) == ()
+
+
+def test_family_split_is_built_on_first_read_and_once(monkeypatch):
+    calls = []
+    build = families.instances_within
+
+    def spy(max_a4, max_d2):
+        calls.append((max_a4, max_d2))
+        return build(max_a4, max_d2)
+
+    monkeypatch.setattr(families, "instances_within", spy)
+    res = enumerate_solutions(Bounds(20, 40), mode="exhaustive")
+    assert len(res.solutions) == 183
+    assert calls == []
+    views = [(res.sporadic, res.family_instances) for _ in range(2)]
+    assert calls == [(20, 40)]
+    table = build(20, 40)
+    expected = (
+        tuple(c for c in res.solutions if c.key not in table),
+        tuple((c, table[c.key]) for c in res.solutions if c.key in table),
+    )
+    assert views == [expected, expected]
+    assert len(expected[0]) == 29
 
 
 def test_known_rows_at_bounds_7_12():

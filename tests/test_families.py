@@ -24,12 +24,16 @@ def test_valid_params_examples():
     assert families.valid_params(26, {"t": 4}) is False
     assert families.valid_params(26, {"t": 2}) is True
     assert families.valid_params(1, {"a0": 1, "a1": 3, "nu": 2}) is True
+    # bool is an int subclass, but True is not a parameter value.
+    assert families.valid_params(15, {"t": True}) is False
+    assert families.valid_params(15, {"t": 0}) is False
 
 
 def test_invalid_reason_names_the_constraint():
     assert families.invalid_reason(26, {"t": 4}) == "t % 3 != 1"
     assert families.invalid_reason(26, {"t": 2}) is None
     assert families.invalid_reason(1, {"a0": 3, "a1": 1, "nu": 2}) == "a0 < a1"
+    assert families.invalid_reason(15, {"t": True}) == "t must be a positive integer, got True"
 
 
 def test_parameter_name_errors():
@@ -63,6 +67,8 @@ def test_instantiate_examples():
 def test_instantiate_rejects_invalid_params():
     with pytest.raises(ValueError):
         families.instantiate(26, {"t": 4})
+    with pytest.raises(ValueError, match="t must be a positive integer, got True"):
+        families.instantiate(15, {"t": True})
 
 
 def test_amplitude_column_examples():
