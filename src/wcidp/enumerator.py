@@ -9,12 +9,14 @@ the given bounds whose verdict is del Pezzo:
   bounds without the degree-pattern theorem, and refuses max_a4 > 60 unless
   explicitly overridden.  It streams the tuples that pass the weight-only
   single-gcd conditions into batches, which may span (a0, a1, a2) prefixes
-  and are cut so that a batch's arrays stay a few hundred KB.  Each degree
-  gets one-byte singleton states per coordinate, and one bitwise AND of the
-  states of d1 and d2 reads the singleton condition.  Coordinate 4 is read
-  first, on the whole (tuple, d1, d2) grid, because it removes nearly every
-  pair; coordinates 3..0 and the gcd conditions then filter flat arrays of
-  survivors, and ``del_pezzo_quick`` classifies the few that remain.
+  and are sized by their degree states.  Each degree gets one-byte
+  singleton states per coordinate, and one bitwise AND of the states of d1
+  and d2 reads the singleton condition.  Coordinate 4 is read first, on the
+  (tuple, d1, d2) grid, because it removes nearly every pair; the grid is
+  built in blocks of whole tuples, so a batch stays under 1 MiB.
+  Coordinates 3..0 and the gcd conditions then filter the joined survivors
+  of the whole batch, and ``del_pezzo_quick`` classifies the few that
+  remain.
 
 * ``shaped`` iterates only the fifteen degree patterns a quasi-smooth
   candidate can have at its largest weight: d2 = a_y + a4 (y < 4) with
@@ -431,14 +433,18 @@ def _solve_shaped_chunk(max_a4: int, max_d2: int, start: int, stop: int,
 # ---------------------------------------------------------------------------
 # exhaustive mode
 
-# A batch of weight tuples is cut so that it needs at most this many cells.
-# A tuple needs one for each (d1, d2) of its coordinate-4 grid and 32 for
-# each degree, with degrees up to the largest that can matter.  A grid cell
-# takes two bytes (its state byte and its mask), a degree about 64 (its
-# state index and its states at the five coordinates), and the survivors of
-# coordinate 4 (eight bytes each) are a few percent of the grid; so a batch
-# needs a few hundred KB at most, and the exhaustive run's peak memory stays
-# that of the interpreter and numpy.
+# The memory budget of the exhaustive kernel, in cells of two bytes.  A
+# batch of weight tuples is cut so that its degree states need at most this
+# many cells: 32 for each degree of each tuple, with degrees up to the
+# largest that can matter, as a degree takes about 64 bytes (its state
+# index and its states at the five coordinates).  The batch's coordinate-4
+# grid, one cell for each (tuple, d1, d2), is built in blocks of whole
+# tuples of at most this many cells, as a grid cell takes two bytes (its
+# state byte and its mask); the survivors kept from each block are a few
+# percent of it.  So a batch needs under 1 MiB (a test holds this at
+# (20, 40)), and the exhaustive run's peak memory stays that of the
+# interpreter and numpy.  Of 2^17..2^20, 2^18 ran fastest at (20, 40); at
+# (30, 60) 2^20 ran about 15 % faster, but needs four times the memory.
 _BATCH_CELLS = 1 << 18
 
 _HIT_BITS = (1 << np.arange(5)).astype(np.uint8)
@@ -518,8 +524,11 @@ def _exhaustive_tuple_solutions(w: np.ndarray, max_d2: int) -> list[tuple[int, .
     (``_singleton_states``).  Coordinate 4 goes first, on the (tuple, d1, d2)
     grid, with the linear-cone test folded into its states and d1 <= d2 and
     each tuple's amplitude masked in: it removes nearly every pair (96 % at
-    (20, 40)).  Coordinates 3..0 and the gcd conditions then filter flat
-    arrays of survivors, and the few left are re-classified exactly by
+    (20, 40)).  The grid is built in blocks of whole tuples, each of at most
+    ``_BATCH_CELLS`` cells (at least one tuple), and only the flat indices
+    of each block's survivors are kept, joined in (tuple, d1, d2) order.
+    Coordinates 3..0 and the gcd conditions then filter the survivors of the
+    whole batch at once, and the few left are re-classified exactly by
     ``del_pezzo_quick``.  Results come in (tuple, d1, d2) order, so a batch
     gives the concatenation of what its columns give one at a time.
     """
@@ -531,14 +540,20 @@ def _exhaustive_tuple_solutions(w: np.ndarray, max_d2: int) -> list[tuple[int, .
     cone = reach[:, 1:] != reach[:, :-1]
     lead[4, :, 1:][cone] = 0
     trail[4, :, 1:][cone] = 0
-    grid = lead[4][:, :, None] & trail[4][:, None, :]
-    hit = grid.view(bool)
-    np.not_equal(grid, 0, out=hit)
-    pair_sum = _degree_tables(max_d2)[1][:dmax + 1, :dmax + 1]
-    hit &= pair_sum < np.minimum(total, 2 * max_d2 + 1).astype(pair_sum.dtype)[:, None, None]
-    k, d1, d2 = np.unravel_index(np.flatnonzero(hit), hit.shape)
+    side = dmax + 1
+    pair_sum = _degree_tables(max_d2)[1][:side, :side]
+    cap = np.minimum(total, 2 * max_d2 + 1).astype(pair_sum.dtype)[:, None, None]
+    block = max(1, _BATCH_CELLS // (side * side))
+    found = []
+    for lo in range(0, w.shape[1], block):
+        grid = lead[4, lo:lo + block, :, None] & trail[4, lo:lo + block, None, :]
+        hit = grid.view(bool)
+        np.not_equal(grid, 0, out=hit)
+        hit &= pair_sum < cap[lo:lo + block]
+        found.append(np.flatnonzero(hit) + lo * side * side)
     del grid, hit
-    at1, at2 = k * (dmax + 1) + d1, k * (dmax + 1) + d2
+    k, d1, d2 = np.unravel_index(np.concatenate(found), (w.shape[1], side, side))
+    at1, at2 = k * side + d1, k * side + d2
     ok = np.ones(len(k), dtype=bool)
     for i in (3, 2, 1, 0):
         ok &= (lead[i].ravel()[at1] & trail[i].ravel()[at2]) != 0
@@ -583,11 +598,11 @@ def _prefix_tuples(max_a4: int, start: int, stop: int, size: int) -> Iterator[np
 
 def _solve_exhaustive_chunk(max_a4: int, max_d2: int, start: int, stop: int) -> list[tuple[int, ...]]:
     # No admissible degree exceeds the largest sum(w) - 2.  Every tuple is
-    # charged the cells of that largest box, so ``step`` tuples stay within
-    # _BATCH_CELLS whichever prefixes they come from; what one piece leaves
-    # over is carried into the next batch.
+    # charged the degree states of that largest box, so ``step`` tuples stay
+    # within _BATCH_CELLS whichever prefixes they come from; what one piece
+    # leaves over is carried into the next batch.
     side = min(max_d2, 5 * max_a4 - 2)
-    step = max(1, _BATCH_CELLS // ((side + 1) * (side + 33)))
+    step = max(1, _BATCH_CELLS // (32 * (side + 1)))
     sols = []
     held = np.empty((5, 0), dtype=np.int64)
     for w in _prefix_tuples(max_a4, start, stop, step):

@@ -278,18 +278,24 @@ def invalid_reason(family_id: int, params: Mapping[str, int]) -> str | None:
     return _evaluate(family_id, params)[1]
 
 
-def instantiate(family_id: int, params: Mapping[str, int]) -> Candidate:
-    """The concrete candidate for a valid assignment."""
+def _valid_instance(family_id: int, params: Mapping[str, int]) -> tuple[int, ...]:
+    """The 7-tuple of a valid assignment; ValueError names what is wrong."""
     key, reason = _evaluate(family_id, params)
     if key is None:
         raise ValueError(f"invalid parameters for family {family_id}: {reason}")
+    return key
+
+
+def instantiate(family_id: int, params: Mapping[str, int]) -> Candidate:
+    """The concrete candidate for a valid assignment."""
+    key = _valid_instance(family_id, params)
     return Candidate(key[:5], key[5], key[6])
 
 
 def family_amplitude(family_id: int, params: Mapping[str, int]) -> int:
-    """Value of the series' amplitude column at an assignment."""
+    """Value of the series' amplitude column at a valid assignment."""
+    _valid_instance(family_id, params)
     spec = family(family_id)
-    _checked_names(spec, params)
     v = eval(spec._codes["amplitude"], _EVAL_GLOBALS, _frac_env(spec, params))
     if v.denominator != 1:
         raise ValueError(f"amplitude formula non-integral at {dict(params)}")

@@ -1,5 +1,6 @@
 """Search modes, degree patterns, partitioning, determinism."""
 
+import tracemalloc
 from itertools import combinations_with_replacement
 from math import gcd
 
@@ -249,25 +250,31 @@ def test_exhaustive_mode_equals_brute_force():
     assert len(brute) == 50
 
 
-def test_exhaustive_batches_split_freely():
+def test_exhaustive_batches_split_freely(monkeypatch):
     max_a4, max_d2 = 10, 20
-    for prefix in [(1, 1, 1), (1, 2, 3), (2, 3, 4), (3, 3, 5)]:
-        batch = prefix_batch(prefix, max_a4)
-        whole = _exhaustive_tuple_solutions(batch, max_d2)
-        parts = []
-        for j in range(batch.shape[1]):
-            parts.extend(_exhaustive_tuple_solutions(batch[:, j:j + 1], max_d2))
-        assert whole == parts, prefix
-    # (1, 1, 1) holds tuples whose own dmax, sum(w) - 2, is below the batch's.
-    sums = prefix_batch((1, 1, 1), max_a4).sum(axis=0)
-    assert sums.min() - 2 < max_d2 <= sums.max() - 2
-    assert _exhaustive_tuple_solutions(prefix_batch((1, 1, 1), max_a4), max_d2)
-    # A batch may span prefixes whose tuples have different sums.
-    first, second = prefix_batch((1, 1, 1), max_a4), prefix_batch((3, 3, 5), max_a4)
-    assert first.sum(axis=0).max() != second.sum(axis=0).max()
-    spanning = _exhaustive_tuple_solutions(np.concatenate((first, second), axis=1), max_d2)
-    assert spanning == (_exhaustive_tuple_solutions(first, max_d2)
-                        + _exhaustive_tuple_solutions(second, max_d2))
+    # The coordinate-4 grid is built in blocks of whole tuples: of the default
+    # size, of one tuple, and of three tuples (441 cells each at dmax 20),
+    # which leaves (1, 1, 1)'s 55 tuples a last block of one.
+    assert prefix_batch((1, 1, 1), max_a4).shape[1] == 55
+    for cells in (enumerator._BATCH_CELLS, 1, 3 * 21 * 21):
+        monkeypatch.setattr(enumerator, "_BATCH_CELLS", cells)
+        for prefix in [(1, 1, 1), (1, 2, 3), (2, 3, 4), (3, 3, 5)]:
+            batch = prefix_batch(prefix, max_a4)
+            whole = _exhaustive_tuple_solutions(batch, max_d2)
+            parts = []
+            for j in range(batch.shape[1]):
+                parts.extend(_exhaustive_tuple_solutions(batch[:, j:j + 1], max_d2))
+            assert whole == parts, (cells, prefix)
+        # (1, 1, 1) holds tuples whose own dmax, sum(w) - 2, is below the batch's.
+        sums = prefix_batch((1, 1, 1), max_a4).sum(axis=0)
+        assert sums.min() - 2 < max_d2 <= sums.max() - 2
+        assert _exhaustive_tuple_solutions(prefix_batch((1, 1, 1), max_a4), max_d2)
+        # A batch may span prefixes whose tuples have different sums.
+        first, second = prefix_batch((1, 1, 1), max_a4), prefix_batch((3, 3, 5), max_a4)
+        assert first.sum(axis=0).max() != second.sum(axis=0).max()
+        spanning = _exhaustive_tuple_solutions(np.concatenate((first, second), axis=1), max_d2)
+        assert spanning == (_exhaustive_tuple_solutions(first, max_d2)
+                            + _exhaustive_tuple_solutions(second, max_d2)), cells
 
 
 def test_prefix_tuples_stream_every_coprime_tuple_in_order():
@@ -285,14 +292,47 @@ def test_prefix_tuples_stream_every_coprime_tuple_in_order():
 
 
 def test_exhaustive_chunk_result_does_not_depend_on_batch_size(monkeypatch):
-    # Batches carry tuples across prefixes and pieces; any cut gives the same
-    # solutions in the same order.
-    stop = prefix_count(10)
-    default = _solve_exhaustive_chunk(10, 20, 0, stop)
-    assert len(default) == len(set(default)) > 0
-    for cells in (1, 3000, 50_000):
-        monkeypatch.setattr(enumerator, "_BATCH_CELLS", cells)
-        assert _solve_exhaustive_chunk(10, 20, 0, stop) == default, cells
+    # Batches carry tuples across prefixes and pieces, and grid blocks cut
+    # batches; any cut gives the same solutions in the same order.  A batch
+    # is charged 32 cells per degree and a block a tuple's whole grid, so at
+    # (12, 60), where most grids are 58 degrees square, 4,000 cells make
+    # batches of two in blocks of one, and 20,800 make batches of eleven in
+    # blocks of six and five.
+    kernel, default_cells = enumerator._exhaustive_tuple_solutions, enumerator._BATCH_CELLS
+    cuts = {}
+
+    def spy(w, side):
+        cells = enumerator._BATCH_CELLS
+        dmax = min(side, int(w.sum(axis=0).max()) - 2)
+        cuts.setdefault(cells, []).append((w.shape[1], max(1, cells // (dmax + 1) ** 2)))
+        return kernel(w, side)
+
+    monkeypatch.setattr(enumerator, "_exhaustive_tuple_solutions", spy)
+    for max_a4, max_d2, budgets in [(10, 20, (1, 3000, 50_000)), (12, 60, (4000, 20_800))]:
+        stop = prefix_count(max_a4)
+        monkeypatch.setattr(enumerator, "_BATCH_CELLS", default_cells)
+        default = _solve_exhaustive_chunk(max_a4, max_d2, 0, stop)
+        assert len(default) == len(set(default)) > 0
+        for cells in budgets:
+            monkeypatch.setattr(enumerator, "_BATCH_CELLS", cells)
+            assert _solve_exhaustive_chunk(max_a4, max_d2, 0, stop) == default, cells
+    # (tuples in a batch, tuples in a block): both cuts were reached.
+    assert any(block == 1 < n for n, block in cuts[4000])
+    assert any(block < n and n % block for n, block in cuts[20_800])
+
+
+def test_exhaustive_chunk_memory_stays_within_the_stated_budget():
+    # The comment on _BATCH_CELLS promises that a batch, with its states and
+    # grid blocks, needs under 1 MiB at (20, 40).  The first run builds the
+    # cached tables, which are not the batch's.
+    _solve_exhaustive_chunk(20, 40, 0, prefix_count(20))
+    tracemalloc.start()
+    try:
+        _solve_exhaustive_chunk(20, 40, 0, prefix_count(20))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20, peak
 
 
 def test_stage_counts_at_20_40_are_pinned(monkeypatch):

@@ -76,6 +76,10 @@ def test_amplitude_column_examples():
     assert families.verify_amplitude_column(21, [{"t": t} for t in range(1, 21)])
     assert families.verify_amplitude_column(1, [{"a0": 1, "a1": 3, "nu": 2}])
     assert families.family_amplitude(1, {"a0": 1, "a1": 3, "nu": 2}) == 2
+    # The amplitude formula is defined only where the assignment is valid.
+    for fid, params in [(26, {"t": 4}), (15, {"t": True}), (15, {"t": 0})]:
+        with pytest.raises(ValueError, match=f"invalid parameters for family {fid}: "):
+            families.family_amplitude(fid, params)
 
 
 def test_match_examples():
