@@ -12,10 +12,8 @@ from .classifier import Candidate, Verdict, WeightSystem, amplitude, classify, i
 from .enumerator import (
     Bounds,
     EnumerationResult,
-    PrefixRange,
     degree_shapes,
     enumerate_solutions,
-    partition,
     sporadic,
 )
 from .families import (
@@ -42,7 +40,6 @@ __all__ = [
     "EnumerationResult",
     "FamilyMatch",
     "FamilySpec",
-    "PrefixRange",
     "QsReport",
     "Verdict",
     "WeightSystem",
@@ -58,7 +55,6 @@ __all__ = [
     "instantiate",
     "is_linear_cone",
     "match_tuple",
-    "partition",
     "qs_pair",
     "qs_singleton",
     "qs_triple",

@@ -8,10 +8,10 @@ the given bounds whose verdict is del Pezzo:
   classifies each.  It exists to cross-validate the shaped mode at small
   bounds without the degree-pattern theorem, and refuses max_a4 > 60 unless
   explicitly overridden.  It streams the tuples that pass the weight-only
-  single-gcd conditions into batches, which may span (a0, a1, a2) prefixes
-  and are sized by their degree states.  Each degree gets one-byte
-  singleton states per coordinate, and one bitwise AND of the states of d1
-  and d2 reads the singleton condition.  Coordinate 4 is read first, on the
+  single-gcd conditions into batches, which may span the (a0, a1, a2)
+  prefixes of one chunk and are sized by their degree states.  Each degree
+  gets one-byte singleton states per coordinate, and one bitwise AND of the
+  states of d1 and d2 reads the singleton condition.  Coordinate 4 is read first, on the
   (tuple, d1, d2) grid, because it removes nearly every pair; the grid is
   built in blocks of whole tuples, so a batch stays under 1 MiB.
   Coordinates 3..0 and the gcd conditions then filter the joined survivors
@@ -35,11 +35,11 @@ the given bounds whose verdict is del Pezzo:
   ``del_pezzo_quick``, which tests singletons 4 and 3 last: every pattern
   meets coordinate 4 by construction, and coordinate 3 was just tested.
 
-Work is partitioned into disjoint (a0, a1, a2) prefix ranges; workers share
-nothing mutable and the merged, sorted result is identical for every job
-count.  The search ends there: which solutions are series instances is
-asked of ``families`` only when ``EnumerationResult.sporadic`` or
-``.family_instances`` is first read.
+Work is cut into one chunk per value of the smallest weight a0, whatever
+the job count; workers share nothing mutable and the merged, sorted result
+is identical for every job count.  The search ends there: which solutions
+are series instances is asked of ``families`` only when
+``EnumerationResult.sporadic`` or ``.family_instances`` is first read.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from __future__ import annotations
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import combinations, groupby
+from itertools import combinations
 from math import gcd
 from multiprocessing import Pool
 from typing import Callable, Iterator, Sequence
@@ -84,17 +84,6 @@ class Bounds:
 
 
 @dataclass(frozen=True)
-class PrefixRange:
-    """Half-open slice [start, stop) of the lexicographic (a0, a1, a2) order."""
-
-    start: int
-    stop: int
-
-    def __len__(self) -> int:
-        return max(0, self.stop - self.start)
-
-
-@dataclass(frozen=True)
 class EnumerationResult:
     """Every del Pezzo candidate in a box, sorted by tuple.
 
@@ -122,67 +111,6 @@ class EnumerationResult:
         """Each solution that is a series instance, with every match."""
         return tuple((c, self._instances[c.key]) for c in self.solutions
                      if c.key in self._instances)
-
-
-# ---------------------------------------------------------------------------
-# prefix indexing
-
-def prefix_count(max_a4: int) -> int:
-    """Number of sorted (a0, a1, a2) prefixes with entries in 1..max_a4."""
-    n = max_a4
-    return n * (n + 1) * (n + 2) // 6
-
-
-def _prefix_at(index: int, max_a4: int) -> tuple[int, int, int]:
-    a0 = 1
-    while True:
-        block = (max_a4 - a0 + 1) * (max_a4 - a0 + 2) // 2
-        if index < block:
-            break
-        index -= block
-        a0 += 1
-    a1 = a0
-    while True:
-        block = max_a4 - a1 + 1
-        if index < block:
-            break
-        index -= block
-        a1 += 1
-    return (a0, a1, a1 + index)
-
-
-def _iter_prefixes(max_a4: int, start: int, stop: int) -> Iterator[tuple[int, int, int]]:
-    if start >= stop:
-        return
-    a0, a1, a2 = _prefix_at(start, max_a4)
-    for _ in range(stop - start):
-        yield (a0, a1, a2)
-        a2 += 1
-        if a2 > max_a4:
-            a1 += 1
-            if a1 > max_a4:
-                a0 += 1
-                a1 = a0
-            a2 = a1
-
-
-def partition(bounds: Bounds, jobs: int) -> list[PrefixRange]:
-    """Split the prefix space into ``jobs`` disjoint contiguous ranges.
-
-    Their union covers everything; trailing ranges may be empty when jobs
-    exceeds the number of prefixes.
-    """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    total = prefix_count(bounds.max_a4)
-    base, extra = divmod(total, jobs)
-    ranges = []
-    pos = 0
-    for j in range(jobs):
-        size = base + (1 if j < extra else 0)
-        ranges.append(PrefixRange(pos, pos + size))
-        pos += size
-    return ranges
 
 
 # ---------------------------------------------------------------------------
@@ -405,28 +333,29 @@ def _candidates_reference(a0: int, a1: int, a2: int, a3: int,
     return cands
 
 
-def _solve_shaped_chunk(max_a4: int, max_d2: int, start: int, stop: int,
+def _solve_shaped_chunk(max_a4: int, max_d2: int, a0: int,
                         generator: Callable) -> list[tuple[int, ...]]:
     sols = []
-    for a0, a1, a2 in _iter_prefixes(max_a4, start, stop):
+    for a1 in range(a0, max_a4 + 1):
         g01 = gcd(a0, a1)
-        g012 = gcd(g01, a2)
-        for a3 in range(a2, max_a4 + 1):
-            if gcd(g012, a3) != 1:
-                continue
-            # a4 shares a prime with one of the four three-weight gcds
-            # exactly when it shares one with their product.
-            g_prod = g012 * gcd(g01, a3) * gcd(gcd(a0, a2), a3) * gcd(gcd(a1, a2), a3)
-            for a4, d1, d2 in generator(a0, a1, a2, a3, max_a4, max_d2):
-                if g_prod != 1 and gcd(g_prod, a4) != 1:
+        for a2 in range(a1, max_a4 + 1):
+            g012 = gcd(g01, a2)
+            for a3 in range(a2, max_a4 + 1):
+                if gcd(g012, a3) != 1:
                     continue
-                # Every pattern has d2 > a4 and d1 >= a0 + a3 > a3, so the
-                # one linear cone left to rule out is d1 = a4.
-                if d1 == a4:
-                    continue
-                w = (a0, a1, a2, a3, a4)
-                if _singleton_ok(w, d1, d2, 3) and del_pezzo_quick(w, d1, d2):
-                    sols.append((*w, d1, d2))
+                # a4 shares a prime with one of the four three-weight gcds
+                # exactly when it shares one with their product.
+                g_prod = g012 * gcd(g01, a3) * gcd(gcd(a0, a2), a3) * gcd(gcd(a1, a2), a3)
+                for a4, d1, d2 in generator(a0, a1, a2, a3, max_a4, max_d2):
+                    if g_prod != 1 and gcd(g_prod, a4) != 1:
+                        continue
+                    # Every pattern has d2 > a4 and d1 >= a0 + a3 > a3, so
+                    # the one linear cone left to rule out is d1 = a4.
+                    if d1 == a4:
+                        continue
+                    w = (a0, a1, a2, a3, a4)
+                    if _singleton_ok(w, d1, d2, 3) and del_pezzo_quick(w, d1, d2):
+                        sols.append((*w, d1, d2))
     return sols
 
 
@@ -578,34 +507,31 @@ def _weight_triples(max_a4: int) -> np.ndarray:
     return triples
 
 
-def _prefix_tuples(max_a4: int, start: int, stop: int, size: int) -> Iterator[np.ndarray]:
-    """The weight tuples of the prefixes start..stop-1 whose four-weight
-    subsets are coprime, in lexicographic order, as (5, m) arrays, each cut
-    from at most ``size`` sorted tuples."""
+def _prefix_tuples(max_a4: int, a0: int, size: int) -> Iterator[np.ndarray]:
+    """The weight tuples with smallest weight a0 whose four-weight subsets
+    are coprime, in lexicographic order, as (5, m) arrays, each cut from at
+    most ``size`` sorted tuples."""
     triples = _weight_triples(max_a4)
-    whole = prefix_count(max_a4)
-    for (a0, a1), group in groupby(_iter_prefixes(max_a4, start, stop), key=lambda p: p[:2]):
-        a2s = [p[2] for p in group]
-        # Sorted triples from a2 on are a suffix: prefix_count counts them.
-        lo, hi = whole - prefix_count(max_a4 - a2s[0] + 1), whole - prefix_count(max_a4 - a2s[-1])
-        for cut in range(lo, hi, size):
-            tail = triples[:, cut:min(cut + size, hi)]
+    for a1 in range(a0, max_a4 + 1):
+        # The sorted triples with a2 >= a1 are a suffix of the table.
+        for cut in range(np.searchsorted(triples[0], a1), triples.shape[1], size):
+            tail = triples[:, cut:cut + size]
             w = np.empty((5, tail.shape[1]), dtype=np.int64)
             w[:2] = [[a0], [a1]]
             w[2:] = tail
             yield w[:, _gcd_ok(SINGLE_GCD, w)]
 
 
-def _solve_exhaustive_chunk(max_a4: int, max_d2: int, start: int, stop: int) -> list[tuple[int, ...]]:
+def _solve_exhaustive_chunk(max_a4: int, max_d2: int, a0: int) -> list[tuple[int, ...]]:
     # No admissible degree exceeds the largest sum(w) - 2.  Every tuple is
     # charged the degree states of that largest box, so ``step`` tuples stay
-    # within _BATCH_CELLS whichever prefixes they come from; what one piece
-    # leaves over is carried into the next batch.
+    # within _BATCH_CELLS whatever their a1; what one piece leaves over is
+    # carried into the next batch.
     side = min(max_d2, 5 * max_a4 - 2)
     step = max(1, _BATCH_CELLS // (32 * (side + 1)))
     sols = []
     held = np.empty((5, 0), dtype=np.int64)
-    for w in _prefix_tuples(max_a4, start, stop, step):
+    for w in _prefix_tuples(max_a4, a0, step):
         held = np.concatenate((held, w), axis=1)
         while held.shape[1] >= step:
             sols.extend(_exhaustive_tuple_solutions(held[:, :step], side))
@@ -619,10 +545,10 @@ def _solve_exhaustive_chunk(max_a4: int, max_d2: int, start: int, stop: int) -> 
 # orchestration
 
 def _solve_chunk(args: tuple) -> list[tuple[int, ...]]:
-    max_a4, max_d2, mode, start, stop = args
+    max_a4, max_d2, mode, a0 = args
     if mode == MODE_EXHAUSTIVE:
-        return _solve_exhaustive_chunk(max_a4, max_d2, start, stop)
-    return _solve_shaped_chunk(max_a4, max_d2, start, stop, _candidates_fast)
+        return _solve_exhaustive_chunk(max_a4, max_d2, a0)
+    return _solve_shaped_chunk(max_a4, max_d2, a0, _candidates_fast)
 
 
 def _check_request(bounds: Bounds, mode: str, jobs: int, allow_large_exhaustive: bool) -> None:
@@ -648,23 +574,22 @@ def enumerate_solutions(
 ) -> EnumerationResult:
     """All del Pezzo candidates within the bounds, sorted.
 
-    A request it refuses raises ValueError before any work.  ``progress``
-    is called as progress(done_chunks, total_chunks, solutions_so_far) after
-    each completed prefix chunk.
+    A request it refuses raises ValueError before any work.  There is one
+    chunk per smallest weight a0 = 1..max_a4, solved in that order, so the
+    chunks do not depend on ``jobs``.  ``progress`` is called as
+    progress(done_chunks, max_a4, solutions_so_far) after each chunk.
     """
     _check_request(bounds, mode, jobs, allow_large_exhaustive)
-    total = prefix_count(bounds.max_a4)
-    n_chunks = max(1, min(total, max(jobs * 16, 64)))
-    chunk_args = [(bounds.max_a4, bounds.max_d2, mode, r.start, r.stop)
-                  for r in partition(bounds, n_chunks)]
+    chunk_args = [(bounds.max_a4, bounds.max_d2, mode, a0) for a0 in range(1, bounds.max_a4 + 1)]
+    workers = min(jobs, len(chunk_args))
 
     raw: list[tuple[int, ...]] = []
-    with nullcontext() if jobs == 1 else Pool(processes=jobs) as pool:
+    with nullcontext() if workers == 1 else Pool(processes=workers) as pool:
         parts = map(_solve_chunk, chunk_args) if pool is None else pool.imap(_solve_chunk, chunk_args)
         for done, part in enumerate(parts, 1):
             raw.extend(part)
             if progress is not None:
-                progress(done, n_chunks, len(raw))
+                progress(done, len(chunk_args), len(raw))
 
     solutions = tuple(Candidate(key[:5], key[5], key[6]) for key in sorted(set(raw)))
     return EnumerationResult(bounds=bounds, mode=mode, solutions=solutions)

@@ -421,8 +421,15 @@ def instances_within(max_a4: int, max_d2: int) -> dict[tuple[int, ...], tuple[Fa
 
 
 def smallest_assignments(family_id: int, count: int = 10) -> list[dict[str, int]]:
-    """The ``count`` valid assignments with lexicographically smallest
-    instances (by tuple, then by assignment)."""
+    """The ``count`` valid assignments with the smallest instances (by
+    tuple, then by assignment) among those with a4 <= B, where B is the
+    first of 16, 32, 64, ... that holds at least ``count`` instances (or
+    the first past 2^20).
+
+    A series may have a smaller instance with a larger a4, which this
+    leaves out: series 6 returns (1, 3, 5, 5, 7, 8, 10) sixth, but its
+    (1, 2, 3, 18, 19, 20, 21) has a4 > B = 16.
+    """
     spec = family(family_id)
     bound = 16
     found: list[tuple[tuple[int, ...], tuple[tuple[str, int], ...]]] = []

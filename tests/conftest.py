@@ -17,3 +17,26 @@ def load_golden_sporadic() -> list[tuple[int, ...]]:
 @pytest.fixture(scope="session")
 def golden_sporadic():
     return load_golden_sporadic()
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """Replace the enumerator's ``Pool`` by one that solves the chunks in
+    this process; the list returned holds each worker count asked for."""
+    started = []
+
+    class FakePool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, args):
+            return map(fn, args)
+
+    monkeypatch.setattr("wcidp.enumerator.Pool", FakePool)
+    return started

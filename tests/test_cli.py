@@ -239,6 +239,13 @@ def test_enumerate_progress_goes_to_stderr(capsys):
     assert "prefix chunks" not in out
 
 
+def test_enumerate_starts_no_more_workers_than_chunks(capsys, fake_pool):
+    # One chunk per a0: --max-a4 3 has three, so --jobs 8 starts three.
+    code, out, _ = run(capsys, "enumerate", "--max-a4", "3", "--jobs", "8")
+    assert code == 0 and out.count("\n") == 5
+    assert fake_pool == [3]
+
+
 def test_enumerate_rejects_big_exhaustive(capsys):
     code, _, err = run(capsys, "enumerate", "--max-a4", "100", "--mode", "exhaustive")
     assert code == 2

@@ -1,4 +1,4 @@
-"""Search modes, degree patterns, partitioning, determinism."""
+"""Search modes, degree patterns, chunking, determinism."""
 
 import tracemalloc
 from itertools import combinations_with_replacement
@@ -11,11 +11,9 @@ from wcidp import classifier, enumerator, families
 from wcidp.classifier import Candidate, classify, del_pezzo_quick
 from wcidp.enumerator import (
     Bounds,
-    PrefixRange,
     _candidates_fast,
     _candidates_reference,
     _exhaustive_tuple_solutions,
-    _iter_prefixes,
     _prefix_tuples,
     _singleton_states,
     _solve_chunk,
@@ -23,8 +21,6 @@ from wcidp.enumerator import (
     _solve_shaped_chunk,
     degree_shapes,
     enumerate_solutions,
-    partition,
-    prefix_count,
     sporadic,
 )
 from wcidp.quasismooth import _singleton_ok
@@ -36,14 +32,20 @@ def keys(result):
 
 def prefix_batch(prefix, max_a4):
     """The coprime weight tuples of one (a0, a1, a2) prefix, as a (5, n) array."""
-    i = list(_iter_prefixes(max_a4, 0, prefix_count(max_a4))).index(prefix)
-    return np.concatenate(list(_prefix_tuples(max_a4, i, i + 1, 7)), axis=1)
+    w = np.concatenate(list(_prefix_tuples(max_a4, prefix[0], 7)), axis=1)
+    return w[:, (w[1] == prefix[1]) & (w[2] == prefix[2])]
 
 
 def reference_keys(max_a4, max_d2):
-    """Shaped search over the whole prefix space with the plain generator."""
-    raw = _solve_shaped_chunk(max_a4, max_d2, 0, prefix_count(max_a4), _candidates_reference)
-    return sorted(set(raw))
+    """Shaped search over every a0 chunk with the plain generator."""
+    return sorted({key for a0 in range(1, max_a4 + 1)
+                   for key in _solve_shaped_chunk(max_a4, max_d2, a0, _candidates_reference)})
+
+
+def exhaustive_keys(max_a4, max_d2):
+    """Exhaustive search over every a0 chunk, in chunk order."""
+    return [key for a0 in range(1, max_a4 + 1)
+            for key in _solve_exhaustive_chunk(max_a4, max_d2, a0)]
 
 
 def test_bounds_validation():
@@ -168,38 +170,40 @@ def test_solution_theorems_hold_at_small_bounds():
         assert sum(a) - c.d1 - c.d2 >= 1
 
 
-def test_partition_covers_and_merges():
-    bounds = Bounds(10, 20)
-    single = partition(bounds, 1)
-    assert single == [PrefixRange(0, prefix_count(10))]
-    ranges = partition(bounds, 4)
-    assert len(ranges) == 4
-    assert ranges[0].start == 0 and ranges[-1].stop == prefix_count(10)
-    for left, right in zip(ranges, ranges[1:]):
-        assert left.stop == right.start
-    merged = []
-    for r in ranges:
-        merged.extend(_iter_prefixes(10, r.start, r.stop))
-    assert merged == list(_iter_prefixes(10, 0, prefix_count(10)))
+def test_chunks_are_one_per_a0_whatever_the_job_count(monkeypatch, fake_pool):
+    solve, seen = enumerator._solve_chunk, []
+
+    def spy(args):
+        seen.append(args)
+        return solve(args)
+
+    monkeypatch.setattr(enumerator, "_solve_chunk", spy)
+    for mode in ("shaped", "exhaustive"):
+        for jobs in (1, 2, 8):
+            seen.clear()
+            enumerate_solutions(Bounds(6, 12), mode=mode, jobs=jobs)
+            assert seen == [(6, 12, mode, a0) for a0 in range(1, 7)], (mode, jobs)
+    # No more workers than chunks.
+    assert fake_pool == [2, 6, 2, 6]
 
 
-def test_partition_ranges_solve_and_merge_to_single_job_result():
+def test_each_a0_chunk_solves_alone_and_merges_to_the_single_job_result():
     bounds = Bounds(10, 20)
     for mode in ("shaped", "exhaustive"):
         merged = []
-        for r in partition(bounds, 4):
-            merged.extend(_solve_chunk((10, 20, mode, r.start, r.stop)))
-        assert sorted(merged) == keys(enumerate_solutions(bounds, jobs=1)), mode
-        # An empty range, as trailing ranges are when jobs exceed prefixes.
-        empty = PrefixRange(5, 5)
-        assert _solve_chunk((10, 20, mode, empty.start, empty.stop)) == [], mode
+        for a0 in range(1, 11):
+            part = _solve_chunk((10, 20, mode, a0))
+            assert all(key[0] == a0 for key in part), (mode, a0)
+            merged.extend(part)
+        assert merged, mode
+        assert sorted(merged) == keys(enumerate_solutions(bounds, mode=mode, jobs=1)), mode
 
 
-def test_partition_allows_more_jobs_than_prefixes():
-    ranges = partition(Bounds(1, 2), 5)
-    assert len(ranges) == 5
-    assert sum(len(r) for r in ranges) == prefix_count(1)
-    assert all(len(r) == 0 for r in ranges[1:])
+def test_more_jobs_than_chunks_give_the_single_job_result():
+    for mode in ("shaped", "exhaustive"):
+        for bounds, jobs in [(Bounds(1, 2), 5), (Bounds(3, 6), 8)]:
+            one = keys(enumerate_solutions(bounds, mode=mode, jobs=1))
+            assert keys(enumerate_solutions(bounds, mode=mode, jobs=jobs)) == one, (mode, bounds)
 
 
 def test_jobs_do_not_change_results():
@@ -281,14 +285,12 @@ def test_prefix_tuples_stream_every_coprime_tuple_in_order():
     max_a4 = 9
     coprime = [w for w in combinations_with_replacement(range(1, max_a4 + 1), 5)
                if all(gcd(*(w[k] for k in range(5) if k != j)) == 1 for j in range(5))]
-    total = prefix_count(max_a4)
     for size in (1, 5, 1000):
-        for start, stop in [(0, total), (3, 40), (40, 41), (41, 41)]:
-            pieces = list(_prefix_tuples(max_a4, start, stop, size))
+        for a0 in range(1, max_a4 + 1):
+            pieces = list(_prefix_tuples(max_a4, a0, size))
             assert all(p.shape[1] <= size for p in pieces)
-            prefixes = set(_iter_prefixes(max_a4, start, stop))
             got = [tuple(c) for p in pieces for c in p.T.tolist()]
-            assert got == [w for w in coprime if w[:3] in prefixes], (size, start, stop)
+            assert got == [w for w in coprime if w[0] == a0], (size, a0)
 
 
 def test_exhaustive_chunk_result_does_not_depend_on_batch_size(monkeypatch):
@@ -309,13 +311,12 @@ def test_exhaustive_chunk_result_does_not_depend_on_batch_size(monkeypatch):
 
     monkeypatch.setattr(enumerator, "_exhaustive_tuple_solutions", spy)
     for max_a4, max_d2, budgets in [(10, 20, (1, 3000, 50_000)), (12, 60, (4000, 20_800))]:
-        stop = prefix_count(max_a4)
         monkeypatch.setattr(enumerator, "_BATCH_CELLS", default_cells)
-        default = _solve_exhaustive_chunk(max_a4, max_d2, 0, stop)
+        default = exhaustive_keys(max_a4, max_d2)
         assert len(default) == len(set(default)) > 0
         for cells in budgets:
             monkeypatch.setattr(enumerator, "_BATCH_CELLS", cells)
-            assert _solve_exhaustive_chunk(max_a4, max_d2, 0, stop) == default, cells
+            assert exhaustive_keys(max_a4, max_d2) == default, cells
     # (tuples in a batch, tuples in a block): both cuts were reached.
     assert any(block == 1 < n for n, block in cuts[4000])
     assert any(block < n and n % block for n, block in cuts[20_800])
@@ -323,12 +324,13 @@ def test_exhaustive_chunk_result_does_not_depend_on_batch_size(monkeypatch):
 
 def test_exhaustive_chunk_memory_stays_within_the_stated_budget():
     # The comment on _BATCH_CELLS promises that a batch, with its states and
-    # grid blocks, needs under 1 MiB at (20, 40).  The first run builds the
-    # cached tables, which are not the batch's.
-    _solve_exhaustive_chunk(20, 40, 0, prefix_count(20))
+    # grid blocks, needs under 1 MiB at (20, 40), measured on the largest
+    # chunk, a0 = 1.  The first run builds the cached tables, which are not
+    # the batch's.
+    _solve_exhaustive_chunk(20, 40, 1)
     tracemalloc.start()
     try:
-        _solve_exhaustive_chunk(20, 40, 0, prefix_count(20))
+        _solve_exhaustive_chunk(20, 40, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

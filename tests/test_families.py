@@ -119,6 +119,26 @@ def test_frozen_sample_asset_regenerates_identically():
         assert assignments == families.smallest_assignments(fid, 10)
 
 
+def test_smallest_assignments_are_the_smallest_below_the_first_bound_that_holds_enough():
+    count = 10
+    within = families.instances_within(256, 10**9)
+    for spec in families.CATALOG:
+        instances = sorted((key, m.assignment) for key, ms in within.items()
+                           for m in ms if m.family_id == spec.id)
+        bound = 16
+        while sum(key[4] <= bound for key, _ in instances) < count and bound < 256:
+            bound *= 2
+        expected = [dict(a) for key, a in instances if key[4] <= bound][:count]
+        assert len(expected) == count, spec.id
+        assert families.smallest_assignments(spec.id, count) == expected, spec.id
+    # Not the smallest instances of the whole series: series 6 has one below
+    # its sixth, but with a4 = 19 > 16.
+    sixth = families.instantiate(6, families.smallest_assignments(6, count)[5])
+    smaller = families.instantiate(6, {"a0": 1, "a1": 2, "nu": 7})
+    assert sixth.key == (1, 3, 5, 5, 7, 8, 10)
+    assert smaller.key == (1, 2, 3, 18, 19, 20, 21) < sixth.key
+
+
 def _golden_rows():
     text = resources.files("wcidp").joinpath("data/sporadic_catalog.csv").read_text()
     rows = csv.DictReader(text.splitlines())
