@@ -70,7 +70,7 @@ def _progress_printer(label: str):
         now = time.monotonic()
         if done == total or now - last[0] >= 1.0:
             last[0] = now
-            print(f"{label}: {done}/{total} prefix chunks, {found} solutions so far",
+            print(f"{label}: {done}/{total} a0 chunks, {found} solutions so far",
                   file=sys.stderr, flush=True)
 
     return emit
@@ -198,6 +198,8 @@ def cmd_families(args) -> int:
             params = {}
             for item in args.params:
                 name, _, value = item.partition("=")
+                if name in params:
+                    return _usage(f"parameter {name!r} given more than once")
                 params[name] = int(value)
         except ValueError:
             return _usage(f"parameters must look like t=2, got {args.params!r}")

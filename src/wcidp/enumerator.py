@@ -14,9 +14,9 @@ the given bounds whose verdict is del Pezzo:
   states of d1 and d2 reads the singleton condition.  Coordinate 4 is read first, on the
   (tuple, d1, d2) grid, because it removes nearly every pair; the grid is
   built in blocks of whole tuples, so a batch stays under 1 MiB.
-  Coordinates 3..0 and the gcd conditions then filter the joined survivors
-  of the whole batch, and ``del_pezzo_quick`` classifies the few that
-  remain.
+  Coordinates 3..0 then filter the joined survivors of the whole batch:
+  numpy decides the singleton conditions, the linear cones and amplitude,
+  and ``is_well_formed`` and ``del_pezzo_quick`` the rest.
 
 * ``shaped`` iterates only the fifteen degree patterns a quasi-smooth
   candidate can have at its largest weight: d2 = a_y + a4 (y < 4) with
@@ -58,7 +58,7 @@ from . import families
 from .classifier import Candidate, del_pezzo_quick
 from .families import FamilyMatch
 from .quasismooth import _singleton_ok
-from .wellformed import _GCD_CONDITIONS, PAIR_GCD, SINGLE_GCD, TRIPLE_GCD, _gcd_violated
+from .wellformed import _GCD_CONDITIONS, SINGLE_GCD, is_well_formed
 
 MODE_SHAPED = "shaped"
 MODE_EXHAUSTIVE = "exhaustive"
@@ -378,11 +378,9 @@ _BATCH_CELLS = 1 << 18
 
 _HIT_BITS = (1 << np.arange(5)).astype(np.uint8)
 
-# Kept weight indices of the gcd conditions of each kind, (conditions, kept).
-_GCD_KEPT = {
-    kind: [kept for k, kept, _ in _GCD_CONDITIONS if k == kind]
-    for kind in (TRIPLE_GCD, PAIR_GCD, SINGLE_GCD)
-}
+# The four-weight subsets, whose gcds must be 1: the weight-only gcd
+# conditions.
+_QUADRUPLES = [kept for kind, kept, _ in _GCD_CONDITIONS if kind == SINGLE_GCD]
 
 
 @cache
@@ -436,14 +434,6 @@ def _singleton_states(w: np.ndarray, dmax: int, max_d2: int) -> tuple[np.ndarray
     return lead, hits | (states & 32) << 1 | 128, reach
 
 
-def _gcd_ok(kind: str, w: np.ndarray, dd: np.ndarray | None = None) -> np.ndarray:
-    """Which columns of w, weight tuples (5, m) with degree pairs dd (2, m),
-    meet every gcd condition of ``kind``."""
-    b = np.gcd.reduce(w[_GCD_KEPT[kind]], axis=1)
-    d1, d2 = (None, None) if dd is None else dd
-    return ~np.any(_gcd_violated(kind, b, d1, d2), axis=0)
-
-
 def _exhaustive_tuple_solutions(w: np.ndarray, max_d2: int) -> list[tuple[int, ...]]:
     """Classify every admissible degree pair for a batch of weight tuples.
 
@@ -456,10 +446,11 @@ def _exhaustive_tuple_solutions(w: np.ndarray, max_d2: int) -> list[tuple[int, .
     (20, 40)).  The grid is built in blocks of whole tuples, each of at most
     ``_BATCH_CELLS`` cells (at least one tuple), and only the flat indices
     of each block's survivors are kept, joined in (tuple, d1, d2) order.
-    Coordinates 3..0 and the gcd conditions then filter the survivors of the
-    whole batch at once, and the few left are re-classified exactly by
-    ``del_pezzo_quick``.  Results come in (tuple, d1, d2) order, so a batch
-    gives the concatenation of what its columns give one at a time.
+    Coordinates 3..0 then filter the survivors of the whole batch at once:
+    numpy decides the singleton conditions, the linear cones and amplitude,
+    and ``is_well_formed`` and ``del_pezzo_quick`` the rest.  Results come
+    in (tuple, d1, d2) order, so a batch gives the concatenation of what its
+    columns give one at a time.
     """
     total = w.sum(axis=0)
     dmax = min(max_d2, int(total.max()) - 2)
@@ -486,13 +477,9 @@ def _exhaustive_tuple_solutions(w: np.ndarray, max_d2: int) -> list[tuple[int, .
     ok = np.ones(len(k), dtype=bool)
     for i in (3, 2, 1, 0):
         ok &= (lead[i].ravel()[at1] & trail[i].ravel()[at2]) != 0
-    w, dd = w[:, k[ok]], np.array((d1[ok], d2[ok]))
-    for kind in (TRIPLE_GCD, PAIR_GCD):
-        ok = _gcd_ok(kind, w, dd)
-        w, dd = w[:, ok], dd[:, ok]
     sols = []
-    for a, d1, d2 in zip(map(tuple, w.T.tolist()), *dd.tolist()):
-        if del_pezzo_quick(a, d1, d2):
+    for a, d1, d2 in zip(map(tuple, w[:, k[ok]].T.tolist()), d1[ok].tolist(), d2[ok].tolist()):
+        if is_well_formed(a, d1, d2) and del_pezzo_quick(a, d1, d2):
             sols.append((*a, d1, d2))
     return sols
 
@@ -519,7 +506,7 @@ def _prefix_tuples(max_a4: int, a0: int, size: int) -> Iterator[np.ndarray]:
             w = np.empty((5, tail.shape[1]), dtype=np.int64)
             w[:2] = [[a0], [a1]]
             w[2:] = tail
-            yield w[:, _gcd_ok(SINGLE_GCD, w)]
+            yield w[:, (np.gcd.reduce(w[_QUADRUPLES], axis=1) == 1).all(axis=0)]
 
 
 def _solve_exhaustive_chunk(max_a4: int, max_d2: int, a0: int) -> list[tuple[int, ...]]:
@@ -561,8 +548,8 @@ def _check_request(bounds: Bounds, mode: str, jobs: int, allow_large_exhaustive:
             "is infeasible; it exists for cross-validation at small bounds "
             "(pass allow_large_exhaustive=True to override)"
         )
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
+        raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
 
 
 def enumerate_solutions(

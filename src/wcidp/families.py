@@ -430,6 +430,8 @@ def smallest_assignments(family_id: int, count: int = 10) -> list[dict[str, int]
     leaves out: series 6 returns (1, 3, 5, 5, 7, 8, 10) sixth, but its
     (1, 2, 3, 18, 19, 20, 21) has a4 > B = 16.
     """
+    if not isinstance(count, int) or isinstance(count, bool) or count < 0:
+        raise ValueError(f"count must be an integer >= 0, got {count!r}")
     spec = family(family_id)
     bound = 16
     found: list[tuple[tuple[int, ...], tuple[tuple[str, int], ...]]] = []

@@ -32,23 +32,23 @@ from math import gcd
 from typing import Callable, Iterable
 
 
-def _checked_generators(generators: Iterable[int]) -> tuple[int, ...]:
-    gens = tuple(generators)
-    if not 1 <= len(gens) <= 5:
-        raise ValueError(f"expected between 1 and 5 generators, got {len(gens)}")
-    if any(g < 1 for g in gens):
-        raise ValueError(f"generators must be positive, got {gens}")
-    return gens
-
-
 def contains(generators: Iterable[int], value: int) -> bool:
     """Decide whether ``value`` is a non-negative integer combination of the
     generators.
 
     Negative values are never representable; zero always is (the empty
-    combination).  Duplicate generators are allowed and irrelevant.
+    combination).  Duplicate generators are allowed and irrelevant.  A value
+    or generator that is not an ``int`` (a ``bool`` included) raises
+    ValueError.
     """
-    return member(_checked_generators(generators), value)(value)
+    gens = tuple(generators)
+    if not 1 <= len(gens) <= 5:
+        raise ValueError(f"expected between 1 and 5 generators, got {len(gens)}")
+    if any(not isinstance(x, int) or isinstance(x, bool) for x in (*gens, value)):
+        raise ValueError(f"generators and value must be integers, got {gens} and {value!r}")
+    if any(g < 1 for g in gens):
+        raise ValueError(f"generators must be positive, got {gens}")
+    return member(gens, value)(value)
 
 
 _BITMAP_CACHE_SIZE = 1 << 15

@@ -10,8 +10,8 @@ hold on the weight subsets:
 * for every omitted single index, the remaining four weights are coprime.
 
 ``_GCD_CONDITIONS`` lists the 25 sub-conditions once; ``check_wf`` reports
-every violated one, ``is_well_formed`` short-circuits inside enumeration
-loops, and the exhaustive search applies each to arrays of candidates at once.
+every violated one, and ``is_well_formed`` short-circuits inside enumeration
+loops.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -38,11 +39,9 @@ _GCD_CONDITIONS = tuple(
 )
 
 
-def _gcd_violated(kind: str, b: int, d1, d2):
+def _gcd_violated(kind: str, b: int, d1: int, d2: int) -> bool:
     """Whether the gcd ``b`` of the kept weights breaks a condition of
-    ``kind``; ``b`` and the degrees may be numpy arrays, which gives an
-    elementwise mask.
-    """
+    ``kind``."""
     if kind == SINGLE_GCD:
         return b != 1
     off1 = d1 % b != 0
@@ -90,13 +89,20 @@ def check_wf(candidate: "Candidate") -> WfReport:
     return WfReport(passed=not violations, violations=tuple(violations))
 
 
+# ``is_well_formed``'s order, each condition with a getter of its kept
+# weights: pairs refute most enumeration survivors, and both search modes
+# have already made the four-weight subsets coprime, so singles go last.
+_SHORT_CIRCUIT = tuple(
+    (kind, itemgetter(*kept))
+    for first in (PAIR_GCD, TRIPLE_GCD, SINGLE_GCD)
+    for kind, kept, _ in _GCD_CONDITIONS if kind == first
+)
+
+
 def is_well_formed(a: tuple[int, int, int, int, int], d1: int, d2: int) -> bool:
     """Short-circuiting boolean variant over a raw sorted weight tuple."""
-    # Single omissions first: they are weight-only and the cheapest to refute.
-    for kind, kept, _ in reversed(_GCD_CONDITIONS):
-        b = 0
-        for k in kept:
-            b = gcd(b, a[k])
+    for kind, kept in _SHORT_CIRCUIT:
+        b = gcd(*kept(a))
         if b != 1 and _gcd_violated(kind, b, d1, d2):
             return False
     return True

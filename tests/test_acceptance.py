@@ -14,6 +14,7 @@ import time
 from itertools import combinations
 
 import pytest
+from definition import pair_branches, span
 
 from wcidp import families
 from wcidp.classifier import Candidate, amplitude, classify
@@ -142,15 +143,6 @@ def test_c06_degree_bounds_hold_on_exhaustive_output(cross_results):
           f"{len(exhaustive.solutions)} exhaustive solutions")
 
 
-def _in_pair_span(p, q, v):
-    """Brute force: v = x*p + y*q for some x, y >= 0."""
-    while v >= 0:
-        if v % q == 0:
-            return True
-        v -= p
-    return False
-
-
 def test_c07_steep_tail_closed_forms_match_brute_force():
     # The shaped generator pins a4 by ``_top_pair_member``: on a steep tail
     # a3 <= a4 < 2*a3, c + a4 lies in <a3, a4> exactly when the closed form
@@ -164,37 +156,13 @@ def test_c07_steep_tail_closed_forms_match_brute_force():
         for a4 in range(a3, min(2 * a3 - 1, 60) + 1):
             for c in range(1 - a3, a3 + 1):
                 closed = _top_pair_member(c, a3)
-                s = _in_pair_span(a3, a4, c + a4)
+                s = span((a3, a4), c + a4)
                 assert (closed is None or a4 in closed) == s, (a3, a4, c)
                 checked += 1
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0, f"closed-form sweep took {elapsed:.1f}s"
     print(f"criterion 7 PASS: {checked} closed-form memberships vs brute force "
           f"in {elapsed:.0f}s")
-
-
-def _pair34_branches(a, d1, d2):
-    """Branches (b), (c), (d) of the pair condition at indices (3, 4),
-    evaluated directly from the definition."""
-    def mem(v):
-        return _in_pair_span(a[3], a[4], v)
-
-    branch_b = mem(d1) and any(mem(d2 - a[e]) for e in range(5))
-    branch_c = mem(d2) and any(mem(d1 - a[e]) for e in range(5))
-    branch_d = False
-    comp = (0, 1, 2)
-    for E in combinations(comp, 2):
-        if not all(mem(d1 - a[e]) for e in E):
-            continue
-        for F in combinations(comp, 2):
-            if set(E) | set(F) != set(comp):
-                continue
-            if all(mem(d2 - a[f]) for f in F):
-                branch_d = True
-                break
-        if branch_d:
-            break
-    return branch_b, branch_c, branch_d
 
 
 def test_c08_pair_condition_reading_matches_closed_forms():
@@ -212,7 +180,7 @@ def test_c08_pair_condition_reading_matches_closed_forms():
                 case2 = a4 == 2 * a3 - a1
                 case3 = a2 == 2 * a1 - a0 and a4 == a3 + a1 - a0
                 case4 = a3 == a2 + a1 - 2 * a0 and a4 == 2 * a2 + a1 - 3 * a0
-                bb, bc, bd = _pair34_branches(a, d1, d2)
+                bb, bc, bd = pair_branches(a, d1, d2, 3, 4)[1:]
                 assert bd == (case3 or case4), a
                 assert (bb or bc or bd) == (case1 or case2 or case3 or case4), a
                 checked += 1

@@ -6,10 +6,10 @@ import json
 import os
 import subprocess
 import sys
-from itertools import combinations
 from pathlib import Path
 
 import pytest
+from definition import qs_failures
 
 import wcidp
 from wcidp.classifier import Candidate, classify
@@ -104,38 +104,6 @@ def test_check_nonempty_note(capsys):
     assert "note: a degree is not a non-negative combination" in out
 
 
-def transcribed_qs_failures(a, d1, d2):
-    """(level, indices) of every failing quasi-smoothness condition, each
-    condition written out value by value over ``semigroup.contains``."""
-    failures = []
-    for i in range(5):
-        def mem(v):
-            return contains((a[i],), v)
-        if not (mem(d1) or mem(d2) or any(e != f and mem(d1 - a[e]) and mem(d2 - a[f])
-                                          for e in range(5) for f in range(5))):
-            failures.append(("singleton", (i,)))
-    for i, j in combinations(range(5), 2):
-        def mem(v):
-            return contains((a[i], a[j]), v)
-        rest = {k for k in range(5) if k not in (i, j)}
-        if not ((mem(d1) and mem(d2))
-                or (mem(d1) and any(mem(d2 - a[e]) for e in range(5)))
-                or (mem(d2) and any(mem(d1 - a[e]) for e in range(5)))
-                or any({*E, *F} == rest and all(mem(d1 - a[e]) for e in E)
-                       and all(mem(d2 - a[f]) for f in F)
-                       for E in combinations(rest, 2) for F in combinations(rest, 2))):
-            failures.append(("pair", (i, j)))
-    for k, l, m in combinations(range(5), 3):
-        def mem(v):
-            return contains((a[k], a[l], a[m]), v)
-        i, j = (x for x in range(5) if x not in (k, l, m))
-        if not ((mem(d1) and mem(d2))
-                or (mem(d1) and mem(d2 - a[i]) and mem(d2 - a[j]))
-                or (mem(d2) and mem(d1 - a[i]) and mem(d1 - a[j]))):
-            failures.append(("triple", (k, l, m)))
-    return failures
-
-
 HUGE_DEGREES = ((10**9, 10**9 + 1), (10**9 + 1, 10**9 + 3), (10**9, 10**9 + 6),
                 (10**12 + 5, 10**12 + 9))
 
@@ -146,7 +114,7 @@ def test_report_at_huge_degrees_matches_transcription(a):
     for d1, d2 in HUGE_DEGREES:
         report = classify(Candidate(a, d1, d2)).qs
         assert [(v.level, v.indices) for v in report.violations] == \
-            transcribed_qs_failures(a, d1, d2), (a, d1, d2)
+            qs_failures(a, d1, d2, span_of=contains), (a, d1, d2)
 
 
 def test_check_cost_is_bounded_by_the_weights_not_the_degrees():
@@ -163,7 +131,7 @@ def test_check_cost_is_bounded_by_the_weights_not_the_degrees():
     assert proc.returncode == 3, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == "rejected: amplitude -1999999986 < 1 (I=-1999999986)"
-    failures = transcribed_qs_failures((1, 2, 3, 4, 5), 10**9, 10**9 + 1)
+    failures = qs_failures((1, 2, 3, 4, 5), 10**9, 10**9 + 1, span_of=contains)
     assert [line.split(":")[0] for line in lines[1:] if line.startswith("  qs ")] == [
         f"  qs {level} indices={list(idx)}" for level, idx in failures]
     # Weight 1 spans every value, so no note either.
@@ -235,8 +203,8 @@ def test_enumerate_rejects_a_directory_as_output_before_the_run(tmp_path, capsys
 def test_enumerate_progress_goes_to_stderr(capsys):
     code, out, err = run(capsys, "enumerate", "--max-a4", "6", "--progress")
     assert code == 0
-    assert "prefix chunks" in err
-    assert "prefix chunks" not in out
+    assert "a0 chunks" in err
+    assert "a0 chunks" not in out
 
 
 def test_enumerate_starts_no_more_workers_than_chunks(capsys, fake_pool):
@@ -310,6 +278,12 @@ def test_families_instantiate(capsys):
     code, out, _ = run(capsys, "families", "instantiate", "15", "t=2")
     assert code == 0
     assert out.strip() == "1,1,2,2,3,4,4"
+
+
+def test_families_instantiate_repeated_param_is_usage_error(capsys):
+    code, out, err = run(capsys, "families", "instantiate", "15", "t=2", "t=3")
+    assert code == 2 and out == ""
+    assert err == "usage error: parameter 't' given more than once\n"
 
 
 def test_families_instantiate_invalid_params(capsys):

@@ -230,6 +230,17 @@ def test_exhaustive_refuses_large_bounds_without_override():
         enumerate_solutions(Bounds(10, 20), mode="no-such-mode")
 
 
+def test_jobs_that_are_not_positive_integers_are_refused_before_any_work(monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the run started despite a bad job count")
+
+    monkeypatch.setattr(enumerator, "_solve_chunk", must_not_run)
+    monkeypatch.setattr(enumerator, "Pool", must_not_run)
+    for jobs in (True, 2.5, "2", 0):
+        with pytest.raises(ValueError, match="jobs"):
+            enumerate_solutions(Bounds(5, 10), jobs=jobs)
+
+
 def test_state_table_equals_singleton_predicate():
     # The exhaustive kernel reads the singleton condition as lead(d1) &
     # trail(d2) != 0 on one-byte degree states; it must agree with the one
@@ -366,6 +377,12 @@ def test_stage_counts_at_20_40_are_pinned(monkeypatch):
     assert counts["_singleton_ok"] == [101_519, 34_580]
     assert counts["del_pezzo_quick"] == [34_580, 183]
     assert counts["is_well_formed"] == [2_935, 295]
+    # The exhaustive kernel hands del_pezzo_quick only the well-formed
+    # pairs that meet every singleton condition.
+    counts["del_pezzo_quick"][:] = [0, 0]
+    exhaustive = enumerate_solutions(Bounds(20, 40), mode="exhaustive", jobs=1)
+    assert keys(exhaustive) == keys(res)
+    assert counts["del_pezzo_quick"] == [777, 183]
 
 
 def test_every_degree_pattern_meets_the_top_singleton():

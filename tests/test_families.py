@@ -137,6 +137,12 @@ def test_smallest_assignments_are_the_smallest_below_the_first_bound_that_holds_
     smaller = families.instantiate(6, {"a0": 1, "a1": 2, "nu": 7})
     assert sixth.key == (1, 3, 5, 5, 7, 8, 10)
     assert smaller.key == (1, 2, 3, 18, 19, 20, 21) < sixth.key
+    # A negative count is refused, not read as a slice from the end, and so
+    # is a count that is not an int.
+    assert families.smallest_assignments(6, 0) == []
+    for bad in (-1, 2.5, True, "3"):
+        with pytest.raises(ValueError):
+            families.smallest_assignments(6, bad)
 
 
 def _golden_rows():

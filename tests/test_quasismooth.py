@@ -4,6 +4,7 @@ import random
 from itertools import combinations
 
 import pytest
+from definition import pair_branches, singleton, triple
 
 from wcidp.classifier import Candidate
 from wcidp.quasismooth import (
@@ -13,61 +14,6 @@ from wcidp.quasismooth import (
     qs_singleton,
     qs_triple,
 )
-
-
-def singleton_oracle(a, d1, d2, i):
-    """Direct loop over all shift pairs (e, f) with e != f."""
-    ai = a[i]
-    if d1 % ai == 0 or d2 % ai == 0:
-        return True
-    for e in range(5):
-        for f in range(5):
-            if e == f:
-                continue
-            x, y = d1 - a[e], d2 - a[f]
-            if x >= 0 and y >= 0 and x % ai == 0 and y % ai == 0:
-                return True
-    return False
-
-
-def span_oracle(gens, limit):
-    """Membership in the span of ``gens`` for values up to ``limit``, read
-    from a dynamic-programming reachability table; no package code."""
-    table = [True] + [False] * limit
-    for v in range(1, limit + 1):
-        table[v] = any(g <= v and table[v - g] for g in gens)
-    return lambda v: 0 <= v <= limit and table[v]
-
-
-def pair_oracle_nine(a, d1, d2, i, j):
-    """Pair condition with the fourth branch over all nine ordered pairs of
-    two-element subsets, filtered by full union; must agree with the
-    six-pair implementation."""
-    mem = span_oracle((a[i], a[j]), d2)
-    if mem(d1) and mem(d2):
-        return True
-    if mem(d1) and any(mem(d2 - a[e]) for e in range(5)):
-        return True
-    if mem(d2) and any(mem(d1 - a[e]) for e in range(5)):
-        return True
-    comp = [k for k in range(5) if k not in (i, j)]
-    subsets = list(combinations(comp, 2))
-    for E in subsets:
-        for F in subsets:
-            if set(E) | set(F) != set(comp):
-                continue
-            if all(mem(d1 - a[e]) for e in E) and all(mem(d2 - a[f]) for f in F):
-                return True
-    return False
-
-
-def triple_oracle(a, d1, d2, k, l, m):
-    """Triple condition, one configuration per line."""
-    mem = span_oracle((a[k], a[l], a[m]), d2)
-    i, j = (x for x in range(5) if x not in (k, l, m))
-    return ((mem(d1) and mem(d2))
-            or (mem(d1) and mem(d2 - a[i]) and mem(d2 - a[j]))
-            or (mem(d2) and mem(d1 - a[i]) and mem(d1 - a[j])))
 
 
 def oracle_sweep_cases(seed, count):
@@ -101,7 +47,7 @@ def test_singleton_agrees_with_pairwise_oracle():
         d2 = rng.randint(d1, 30)
         c = Candidate(a, d1, d2)
         for i in range(5):
-            assert qs_singleton(c, i) == singleton_oracle(a, d1, d2, i), (a, d1, d2, i)
+            assert qs_singleton(c, i) == singleton(a, d1, d2, i), (a, d1, d2, i)
 
 
 def test_pair_examples():
@@ -126,21 +72,21 @@ def test_pair_agrees_with_nine_subset_enumeration():
         d2 = rng.randint(d1, 26)
         c = Candidate(a, d1, d2)
         for i, j in combinations(range(5), 2):
-            assert qs_pair(c, i, j) == pair_oracle_nine(a, d1, d2, i, j), (a, d1, d2, i, j)
+            assert qs_pair(c, i, j) == any(pair_branches(a, d1, d2, i, j)), (a, d1, d2, i, j)
 
 
 def test_pair_agrees_with_dp_oracle_on_wide_weights():
     for a, d1, d2 in oracle_sweep_cases(7703, 1500):
         c = Candidate(a, d1, d2)
         for i, j in combinations(range(5), 2):
-            assert qs_pair(c, i, j) == pair_oracle_nine(a, d1, d2, i, j), (a, d1, d2, i, j)
+            assert qs_pair(c, i, j) == any(pair_branches(a, d1, d2, i, j)), (a, d1, d2, i, j)
 
 
 def test_triple_agrees_with_dp_oracle_on_wide_weights():
     for a, d1, d2 in oracle_sweep_cases(3307, 1500):
         c = Candidate(a, d1, d2)
         for k, l, m in combinations(range(5), 3):
-            assert qs_triple(c, k, l, m) == triple_oracle(a, d1, d2, k, l, m), (a, d1, d2, k, l, m)
+            assert qs_triple(c, k, l, m) == triple(a, d1, d2, k, l, m), (a, d1, d2, k, l, m)
 
 
 def test_triple_examples():

@@ -3,23 +3,12 @@
 import random
 
 import pytest
+from definition import span
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wcidp import semigroup
 from wcidp.semigroup import contains, member
-
-
-def dp_reachable(gens, limit):
-    """Independent oracle: dynamic-programming reachability table."""
-    table = [False] * (limit + 1)
-    table[0] = True
-    for v in range(1, limit + 1):
-        for g in gens:
-            if g <= v and table[v - g]:
-                table[v] = True
-                break
-    return table
 
 
 def test_contains_examples():
@@ -41,13 +30,17 @@ def test_contains_validates_generators():
         contains((1, 2, 3, 4, 5, 6), 3)
     with pytest.raises(ValueError):
         contains((0, 3), 3)
+    # Like WeightSystem, only ints count, and a bool is not one.
+    for gens, value in [((3, 5), 7.5), ((3, 5, 7), 2.0), ((3, 5), True),
+                        ((3.0, 5), 8), ((3, True), 4), (("3", 5), 8)]:
+        with pytest.raises(ValueError):
+            contains(gens, value)
 
 
 def test_contains_agrees_with_dp_oracle_pairs_to_5000():
     for gens in [(3, 5), (4, 9), (7, 11), (2, 9), (6, 10), (17, 23)]:
-        table = dp_reachable(gens, 5000)
         for v in range(5001):
-            assert contains(gens, v) == table[v], (gens, v)
+            assert contains(gens, v) == span(gens, v), (gens, v)
 
 
 def test_contains_agrees_with_dp_oracle_random_sets():
@@ -56,9 +49,8 @@ def test_contains_agrees_with_dp_oracle_random_sets():
         k = rng.randint(1, 5)
         gens = tuple(rng.randint(1, 40) for _ in range(k))
         limit = 400 if k >= 4 else 1200
-        table = dp_reachable(gens, limit)
         for v in range(limit + 1):
-            assert contains(gens, v) == table[v], (gens, v)
+            assert contains(gens, v) == span(gens, v), (gens, v)
 
 
 def test_bitmap_member_agrees_with_dp_oracle():
@@ -66,10 +58,9 @@ def test_bitmap_member_agrees_with_dp_oracle():
     for _ in range(80):
         k = rng.randint(1, 4)
         gens = tuple(rng.randint(1, 30) for _ in range(k))
-        table = dp_reachable(gens, 200)
         test = member(gens, 200)
         for v in range(-3, 200):
-            assert test(v) == (v >= 0 and table[v]), (gens, v)
+            assert test(v) == span(gens, v), (gens, v)
 
 
 def test_member_answers_beyond_its_limit():
@@ -77,20 +68,18 @@ def test_member_answers_beyond_its_limit():
     # Schur cap, are still decided exactly.  Out of order, (2, 11, 4) still
     # caps at 2 * 11: 9 is not a member.
     for gens in [(5, 7, 9), (6, 10, 15), (4, 6), (11, 13, 17, 19), (12, 20, 30), (2, 11, 4)]:
-        table = dp_reachable(gens, 600)
         test = member(gens, 10)
         for v in range(-40, 601):
-            assert test(v) == (v >= 0 and table[v]), (gens, v)
+            assert test(v) == span(gens, v), (gens, v)
 
 
 def test_member_pair_closed_form_agrees_with_dp_oracle():
     # Every ordered pair up to 40, coprime or not, equal or not.
     for p in range(1, 41):
         for q in range(1, 41):
-            table = dp_reachable((p, q), 3 * 40)
             test = member((p, q), 3 * 40)
             for v in range(-2 * q, 3 * 40 + 1):
-                assert test(v) == (v >= 0 and table[v]), (p, q, v)
+                assert test(v) == span((p, q), v), (p, q, v)
 
 
 def test_member_bitmap_is_capped_by_the_weights(monkeypatch):
