@@ -26,6 +26,14 @@ from .quasismooth import (
 from .wellformed import WfReport, check_wf, is_well_formed
 
 
+def _positive_ints(values: tuple) -> bool:
+    """Whether every entry is an int >= 1 and not a bool."""
+    for v in values:
+        if not isinstance(v, int) or v < 1 or v is True:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class WeightSystem:
     """Five positive integer weights, stored in ascending order."""
@@ -36,7 +44,7 @@ class WeightSystem:
         weights = tuple(sorted(a))
         if len(weights) != 5:
             raise ValueError(f"expected 5 weights, got {len(weights)}")
-        if any(not isinstance(w, int) or isinstance(w, bool) or w < 1 for w in weights):
+        if not _positive_ints(weights):
             raise ValueError(f"weights must be positive integers, got {weights}")
         object.__setattr__(self, "a", weights)
 
@@ -56,9 +64,19 @@ class Candidate:
     d2: int
 
     def __init__(self, weights: WeightSystem | Iterable[int], d1: int, d2: int):
-        if not isinstance(weights, WeightSystem):
-            weights = WeightSystem(weights)
-        if any(not isinstance(d, int) or isinstance(d, bool) or d < 1 for d in (d1, d2)):
+        if isinstance(weights, WeightSystem):
+            valid = _positive_ints((d1, d2))
+        else:
+            # One pass over all seven entries.  On a failure the weights'
+            # own check raises when they are at fault.
+            a = tuple(sorted(weights))
+            valid = len(a) == 5 and _positive_ints((*a, d1, d2))
+            if valid:
+                weights = object.__new__(WeightSystem)
+                object.__setattr__(weights, "a", a)
+            else:
+                weights = WeightSystem(a)
+        if not valid:
             raise ValueError(f"degrees must be positive integers, got {(d1, d2)}")
         if d1 > d2:
             d1, d2 = d2, d1

@@ -6,10 +6,12 @@ validity constraints (gcd conditions, parity, congruences, lower bounds).
 Keeping the catalog declarative makes it auditable record by record and lets
 external tools re-check it without reading Python.
 
-Expressions are evaluated over exact rationals so that constraints like
-``gcd((nu*a0 - 1)/2, (a1 - a0)/2) == 1`` mean what they say: a division that
-does not come out an integer simply fails the constraint, and a weight
-formula that does not come out an integer invalidates the assignment.
+Expressions are evaluated over Python ints.  Each ``x / y`` in a catalog
+expression is compiled to an exact quotient: an int when ``y`` divides ``x``,
+else the ``Fraction`` x/y, so that constraints like
+``gcd((nu*a0 - 1)/2, (a1 - a0)/2) == 1`` mean what they say: a gcd of a
+non-integral quotient fails the constraint, and a weight formula that does
+not come out an integer invalidates the assignment.
 
 Every parameter must be readable off the tuple: in some order, each one
 occurs with degree 1 in a weight or degree formula once the earlier ones are
@@ -41,38 +43,63 @@ from .classifier import Candidate
 _MAX_MAGNITUDE = 1 << 63
 
 _ALLOWED_CALLS = {"gcd", "max"}
-_ALLOWED_NODES = (
+_ALLOWED_NODES = frozenset({
     ast.Expression, ast.BinOp, ast.UnaryOp, ast.Compare, ast.Call, ast.Name,
     ast.Constant, ast.Load, ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Mod,
     ast.USub, ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE,
-)
+})
 
 
 class _NonIntegral(ArithmeticError):
     """A gcd argument came out non-integral; the enclosing constraint fails."""
 
 
-def _exact_gcd(x: Fraction, y: Fraction) -> Fraction:
+def _exact_gcd(x: int | Fraction, y: int | Fraction) -> int:
     if x.denominator != 1 or y.denominator != 1:
         raise _NonIntegral
-    return Fraction(gcd(int(x), int(y)))
+    return gcd(int(x), int(y))
 
 
-def _compile_expr(text: str, names: Iterable[str]):
-    """Validate one catalog expression; return its syntax tree and code."""
+def _exact_quotient(x: int | Fraction, y: int | Fraction) -> int | Fraction:
+    """x / y: an int when the division is exact, else a ``Fraction``."""
+    q, r = divmod(x, y)
+    return q if r == 0 else Fraction(x) / y
+
+
+class _ExactDivision(ast.NodeTransformer):
+    """Rewrite every ``x / y`` into ``_exact_quotient(x, y)``."""
+
+    def visit_BinOp(self, node: ast.BinOp) -> ast.AST:
+        self.generic_visit(node)
+        if not isinstance(node.op, ast.Div):
+            return node
+        func = ast.copy_location(ast.Name("_exact_quotient", ast.Load()), node)
+        return ast.copy_location(ast.Call(func, [node.left, node.right], []), node)
+
+
+def _parse_expr(text: str, names: Iterable[str]) -> ast.Expression:
+    """Parse and validate one catalog expression."""
     tree = ast.parse(text, mode="eval")
     allowed_names = set(names) | _ALLOWED_CALLS
     for node in ast.walk(tree):
-        if not isinstance(node, _ALLOWED_NODES):
-            raise ValueError(f"disallowed syntax {type(node).__name__!r} in {text!r}")
-        if isinstance(node, ast.Name) and node.id not in allowed_names:
+        kind = type(node)
+        if kind not in _ALLOWED_NODES:
+            raise ValueError(f"disallowed syntax {kind.__name__!r} in {text!r}")
+        if kind is ast.Name and node.id not in allowed_names:
             raise ValueError(f"unknown name {node.id!r} in {text!r}")
-        if isinstance(node, ast.Call):
-            if not isinstance(node.func, ast.Name) or node.func.id not in _ALLOWED_CALLS:
+        if kind is ast.Call:
+            if type(node.func) is not ast.Name or node.func.id not in _ALLOWED_CALLS:
                 raise ValueError(f"disallowed call in {text!r}")
-        if isinstance(node, ast.Constant) and not isinstance(node.value, int):
+        if kind is ast.Constant and not isinstance(node.value, int):
             raise ValueError(f"non-integer constant in {text!r}")
-    return tree, compile(tree, f"<family:{text}>", "eval")
+    return tree
+
+
+def _compile_expr(text: str, tree: ast.Expression):
+    """Code evaluating a parsed expression over ints; the tree is consumed."""
+    if "/" in text:
+        tree = _ExactDivision().visit(tree)
+    return compile(tree, f"<family:{text}>", "eval")
 
 
 def _degree(node: ast.AST, var: str, known: set[str]) -> int | None:
@@ -130,7 +157,9 @@ def _solve_plan(
     return tuple(plan)
 
 
-_EVAL_GLOBALS = {"__builtins__": {}, "gcd": _exact_gcd, "max": max}
+_EVAL_GLOBALS = {
+    "__builtins__": {}, "gcd": _exact_gcd, "max": max, "_exact_quotient": _exact_quotient,
+}
 
 
 @dataclass(frozen=True)
@@ -146,14 +175,19 @@ class FamilySpec:
     _codes: dict = field(compare=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
-        formulas = [_compile_expr(e, self.parameters) for e in self.weights + self.degrees]
+        texts = self.weights + self.degrees
+        trees = [_parse_expr(text, self.parameters) for text in texts]
+        plan = _solve_plan(self.id, self.parameters, trees)
         codes = {
-            "formulas": tuple(code for _, code in formulas),
-            "amplitude": _compile_expr(self.amplitude, self.parameters)[1],
-            "constraints": tuple(
-                (text, _compile_expr(text, self.parameters)[1]) for text in self.constraints
+            "formulas": tuple(_compile_expr(text, tree) for text, tree in zip(texts, trees)),
+            "amplitude": _compile_expr(
+                self.amplitude, _parse_expr(self.amplitude, self.parameters)
             ),
-            "plan": _solve_plan(self.id, self.parameters, [tree for tree, _ in formulas]),
+            "constraints": tuple(
+                (text, _compile_expr(text, _parse_expr(text, self.parameters)))
+                for text in self.constraints
+            ),
+            "plan": plan,
         }
         object.__setattr__(self, "_codes", codes)
 
@@ -215,8 +249,8 @@ def family(family_id: int) -> FamilySpec:
         raise ValueError(f"unknown family id: {family_id}") from None
 
 
-def _frac_env(spec: FamilySpec, params: Mapping[str, int]) -> dict[str, Fraction]:
-    return {name: Fraction(params[name]) for name in spec.parameters}
+def _env(spec: FamilySpec, params: Mapping[str, int]) -> dict[str, int]:
+    return {name: params[name] for name in spec.parameters}
 
 
 def _checked_names(spec: FamilySpec, params: Mapping[str, int]) -> None:
@@ -234,7 +268,7 @@ def _instance_or_reason(
         v = params[name]
         if not isinstance(v, int) or isinstance(v, bool) or v < 1:
             return None, f"{name} must be a positive integer, got {v!r}"
-    env = _frac_env(spec, params)
+    env = _env(spec, params)
     for text, code in spec._codes["constraints"]:
         try:
             if not eval(code, _EVAL_GLOBALS, env):
@@ -296,7 +330,7 @@ def family_amplitude(family_id: int, params: Mapping[str, int]) -> int:
     """Value of the series' amplitude column at a valid assignment."""
     _valid_instance(family_id, params)
     spec = family(family_id)
-    v = eval(spec._codes["amplitude"], _EVAL_GLOBALS, _frac_env(spec, params))
+    v = eval(spec._codes["amplitude"], _EVAL_GLOBALS, _env(spec, params))
     if v.denominator != 1:
         raise ValueError(f"amplitude formula non-integral at {dict(params)}")
     return int(v)
@@ -313,8 +347,8 @@ def verify_amplitude_column(family_id: int, samples: Iterable[Mapping[str, int]]
     return True
 
 
-def _a4_value(spec: FamilySpec, params: Mapping[str, int]) -> Fraction:
-    return eval(spec._codes["formulas"][4], _EVAL_GLOBALS, _frac_env(spec, params))
+def _a4_value(spec: FamilySpec, params: Mapping[str, int]) -> int | Fraction:
+    return eval(spec._codes["formulas"][4], _EVAL_GLOBALS, params)
 
 
 def _assignments_up_to(spec: FamilySpec, max_a4: int) -> Iterator[tuple[dict[str, int], tuple[int, ...]]]:
@@ -360,27 +394,29 @@ def _solve(spec: FamilySpec, target: tuple[int, ...]) -> dict[str, int] | None:
     """The only assignment of ``spec`` whose formulas can give ``target``, or
     None when a parameter solves to anything but a positive integer or the
     solved assignment misses another entry of the target."""
-    env: dict[str, Fraction] = {}
+    formulas = spec._codes["formulas"]
+    env: dict[str, int] = {}
     for name, index in spec._codes["plan"]:
-        code = spec._codes["formulas"][index]
-        env[name] = Fraction(0)
+        code = formulas[index]
+        env[name] = 0
         f0 = eval(code, _EVAL_GLOBALS, env)
-        env[name] = Fraction(1)
+        env[name] = 1
         slope = eval(code, _EVAL_GLOBALS, env) - f0
         if slope == 0:
-            known = {k: int(v) for k, v in env.items() if k != name}
+            known = {k: v for k, v in env.items() if k != name}
             raise RuntimeError(
                 f"family {spec.id}: {(spec.weights + spec.degrees)[index]!r} "
                 f"does not depend on {name} at {known}"
             )
-        value = (target[index] - f0) / slope
-        if value.denominator != 1 or value < 1:
+        value, rest = divmod(target[index] - f0, slope)
+        if rest or value < 1:
             return None
         env[name] = value
     # A cheap early out; match_tuple's call to _instance_or_reason is the exact check.
-    if any(eval(code, _EVAL_GLOBALS, env) != t for code, t in zip(spec._codes["formulas"], target)):
-        return None
-    return {name: int(v) for name, v in env.items()}
+    for code, t in zip(formulas, target):
+        if eval(code, _EVAL_GLOBALS, env) != t:
+            return None
+    return env
 
 
 def match_tuple(candidate: Candidate) -> list[FamilyMatch]:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from .semigroup import member
@@ -179,17 +180,24 @@ def qs_triple(candidate: "Candidate", k: int, l: int, m: int) -> bool:
     return _triple_ok(candidate.weights.a, candidate.d1, candidate.d2, k, l, m)
 
 
-# One detail template per level, formatted with the failing indices ``i``
-# and their weights ``w``.
+# One detail template per level.  Each subset's own template is built here,
+# with its indices filled in, and takes the subset's weights (``%d``) per
+# violation.
 _SINGLE_DETAIL = (
-    "a[{i[0]}]={w[0]} divides neither degree and no shifted pair "
+    "a[{0}]=%d divides neither degree and no shifted pair "
     "(d1-a_e, d2-a_f) with e != f lands in its span"
 )
 _PAIR_DETAIL = (
-    "no branch places the degrees in <a[{i[0]}], a[{i[1]}]> = "
-    "<{w[0]}, {w[1]}>, with or without single or paired shifts"
+    "no branch places the degrees in <a[{0}], a[{1}]> = "
+    "<%d, %d>, with or without single or paired shifts"
 )
-_TRIPLE_DETAIL = "neither degree configuration lands in <{w[0]}, {w[1]}, {w[2]}>"
+_TRIPLE_DETAIL = "neither degree configuration lands in <%d, %d, %d>"
+_SINGLE_CHECKS, _PAIR_CHECKS, _TRIPLE_CHECKS = (
+    tuple((idx, itemgetter(*idx), detail.format(*idx)) for idx in subsets)
+    for subsets, detail in (
+        (_SINGLES, _SINGLE_DETAIL), (_PAIRS, _PAIR_DETAIL), (_TRIPLES, _TRIPLE_DETAIL)
+    )
+)
 
 
 def check_qs(candidate: "Candidate") -> QsReport:
@@ -198,15 +206,14 @@ def check_qs(candidate: "Candidate") -> QsReport:
     a = candidate.weights.a
     d1, d2 = candidate.d1, candidate.d2
     violations = []
-    for level, subsets, ok, detail in (
-        (SINGLETON, _SINGLES, _singleton_ok, _SINGLE_DETAIL),
-        (PAIR, _PAIRS, _pair_ok, _PAIR_DETAIL),
-        (TRIPLE, _TRIPLES, _triple_ok, _TRIPLE_DETAIL),
+    for level, checks, ok in (
+        (SINGLETON, _SINGLE_CHECKS, _singleton_ok),
+        (PAIR, _PAIR_CHECKS, _pair_ok),
+        (TRIPLE, _TRIPLE_CHECKS, _triple_ok),
     ):
-        for idx in subsets:
+        for idx, weights_of, detail in checks:
             if not ok(a, d1, d2, *idx):
-                w = [a[x] for x in idx]
-                violations.append(QsViolation(level, idx, detail.format(i=idx, w=w)))
+                violations.append(QsViolation(level, idx, detail % weights_of(a)))
     return QsReport(passed=not violations, violations=tuple(violations))
 
 

@@ -9,9 +9,11 @@ hold on the weight subsets:
   divides both d1 and d2;
 * for every omitted single index, the remaining four weights are coprime.
 
-``_GCD_CONDITIONS`` lists the 25 sub-conditions once; ``check_wf`` reports
-every violated one, and ``is_well_formed`` short-circuits inside enumeration
-loops.
+``_GCD_CONDITIONS`` lists the 25 sub-conditions once, and one table of
+getters built from it, ``_GETTERS``, feeds both ``check_wf``, which reads it
+in report order and reports every violated sub-condition, and
+``is_well_formed``, which reads it reordered (``_SHORT_CIRCUIT``) and
+short-circuits inside enumeration loops.
 """
 
 from __future__ import annotations
@@ -77,25 +79,30 @@ class WfReport:
         }
 
 
+# Every sub-condition with a getter of its kept weights, in report order.
+# A gcd of 1 breaks no condition, so both readers test only larger ones.
+_GETTERS = tuple((kind, itemgetter(*kept), omitted) for kind, kept, omitted in _GCD_CONDITIONS)
+
+
 def check_wf(candidate: "Candidate") -> WfReport:
     """Evaluate all 25 sub-conditions and list every violation."""
     a = candidate.weights.a
     d1, d2 = candidate.d1, candidate.d2
     violations = []
-    for kind, kept, omitted in _GCD_CONDITIONS:
-        b = gcd(*[a[k] for k in kept])
-        if _gcd_violated(kind, b, d1, d2):
+    for kind, kept, omitted in _GETTERS:
+        b = gcd(*kept(a))
+        if b != 1 and _gcd_violated(kind, b, d1, d2):
             violations.append(WfViolation(kind, omitted, b))
     return WfReport(passed=not violations, violations=tuple(violations))
 
 
-# ``is_well_formed``'s order, each condition with a getter of its kept
-# weights: pairs refute most enumeration survivors, and both search modes
-# have already made the four-weight subsets coprime, so singles go last.
+# ``is_well_formed``'s order: pairs refute most enumeration survivors, and
+# both search modes have already made the four-weight subsets coprime, so
+# singles go last.
 _SHORT_CIRCUIT = tuple(
-    (kind, itemgetter(*kept))
+    (kind, kept)
     for first in (PAIR_GCD, TRIPLE_GCD, SINGLE_GCD)
-    for kind, kept, _ in _GCD_CONDITIONS if kind == first
+    for kind, kept, _ in _GETTERS if kind == first
 )
 
 

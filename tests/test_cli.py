@@ -2,6 +2,7 @@
 
 import csv
 import errno
+import hashlib
 import json
 import os
 import subprocess
@@ -165,6 +166,21 @@ def test_enumerate_jsonl_agrees_with_csv(capsys):
         json_rows.add((rec["a0"], rec["a1"], rec["a2"], rec["a3"], rec["a4"],
                        rec["d1"], rec["d2"]))
     assert csv_rows == json_rows
+
+
+# sha256 of the exact output bytes: the verdict reports, their violation
+# texts and the family matches may be computed faster, never differently.
+@pytest.mark.parametrize("argv, digest", [
+    (("enumerate", "--max-a4", "12", "--max-d2", "24", "--format", "jsonl"),
+     "0a6b9f0c8b192c783abfd3e90643e677cfaeb58a8884a52cce647a07aa502b39"),
+    (("check", "--explain", "1", "1", "1", "1", "3", "2", "4"),
+     "7b2a2459d802084d6b2c78a3614add350076830656d57116f9bb0a7872719b52"),
+    (("check", "--explain", "2", "2", "2", "3", "3", "4", "6"),
+     "fd42249ce414e702473186eb6d18b1b288c4ef33eea4901fddf468416df9768a"),
+])
+def test_report_bytes_are_pinned(capsys, argv, digest):
+    _, out, _ = run(capsys, *argv)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_enumerate_writes_output_file(tmp_path, capsys):

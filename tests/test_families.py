@@ -1,8 +1,11 @@
 """Series catalog: constraints, instantiation, matching, frozen assets."""
 
+import ast
 import csv
 import json
+from fractions import Fraction
 from importlib import resources
+from math import gcd
 
 import pytest
 
@@ -220,3 +223,94 @@ def test_zero_slope_in_a_solve_is_an_error_naming_the_series():
     )
     with pytest.raises(RuntimeError, match="family 99: 't - t \\+ 1' does not depend on t"):
         families._solve(synthetic, (1, 1, 1, 1, 1, 2, 2))
+
+
+# The catalog read over exact rationals, the way it reads on paper: every
+# expression parsed with ``ast`` and evaluated over ``Fraction``, with a gcd
+# that refuses a non-integral argument.  Nothing here comes from ``families``.
+
+
+class _NotIntegral(ArithmeticError):
+    pass
+
+
+def _rational_gcd(x, y):
+    if Fraction(x).denominator != 1 or Fraction(y).denominator != 1:
+        raise _NotIntegral
+    return Fraction(gcd(int(x), int(y)))
+
+
+_RATIONAL_GLOBALS = {"__builtins__": {}, "gcd": _rational_gcd, "max": max}
+
+
+def _rational(text):
+    return compile(ast.parse(text, mode="eval"), text, "eval")
+
+
+def _rational_reading(record, params):
+    """(reason, key, amplitude) of an assignment: reason None, the 7-tuple
+    and the amplitude when it is valid; the amplitude is None when its
+    formula does not come out an integer."""
+    for name in record["parameters"]:
+        v = params[name]
+        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+            return f"{name} must be a positive integer, got {v!r}", None, None
+    env = {name: Fraction(params[name]) for name in record["parameters"]}
+    for text in record["constraints"]:
+        try:
+            if not eval(_rational(text), _RATIONAL_GLOBALS, env):
+                return text, None, None
+        except _NotIntegral:
+            return text, None, None
+    values = []
+    for text in record["weights"] + record["degrees"]:
+        v = Fraction(eval(_rational(text), _RATIONAL_GLOBALS, env))
+        if v.denominator != 1:
+            return f"{text} is not an integer", None, None
+        values.append(int(v))
+    weights, degrees = values[:5], values[5:]
+    if min(values) < 1:
+        return "instantiated tuple has a non-positive entry", None, None
+    if weights != sorted(weights):
+        return "instantiated weights are not ascending", None, None
+    if degrees[0] > degrees[1]:
+        return "instantiated degrees are not in order d1 <= d2", None, None
+    amp = Fraction(eval(_rational(record["amplitude"]), _RATIONAL_GLOBALS, env))
+    return None, tuple(values), int(amp) if amp.denominator == 1 else None
+
+
+def _moved_assignments(params):
+    yield params
+    for name in params:
+        for step in (-1, 1, 2):
+            yield {**params, name: params[name] + step}
+
+
+@pytest.mark.parametrize("family_id", range(1, 46))
+def test_integer_evaluation_agrees_with_the_rational_reading(family_id):
+    raw = resources.files("wcidp").joinpath("data/family_catalog.json").read_text()
+    record = next(r for r in json.loads(raw) if r["id"] == family_id)
+    seen = 0
+    for base in families.smallest_assignments(family_id, 10):
+        for params in _moved_assignments(base):
+            reason, key, amp = _rational_reading(record, params)
+            assert families.invalid_reason(family_id, params) == reason, params
+            if key is None:
+                with pytest.raises(ValueError):
+                    families.instantiate(family_id, params)
+                continue
+            seen += 1
+            assert families.instantiate(family_id, params).key == key
+            if amp is None:
+                with pytest.raises(ValueError):
+                    families.family_amplitude(family_id, params)
+            else:
+                assert families.family_amplitude(family_id, params) == amp
+    assert seen >= 10
+
+
+def test_gcd_of_a_non_integral_quotient_fails_its_constraint():
+    # (a1 - a0)/2 = 1/2: the division is not exact, so the gcd cannot hold.
+    assert families.invalid_reason(1, {"a0": 2, "a1": 3, "nu": 1}) == (
+        "gcd(nu*a0 - 1, (a1 - a0)/2) == 1"
+    )
