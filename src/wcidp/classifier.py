@@ -64,19 +64,9 @@ class Candidate:
     d2: int
 
     def __init__(self, weights: WeightSystem | Iterable[int], d1: int, d2: int):
-        if isinstance(weights, WeightSystem):
-            valid = _positive_ints((d1, d2))
-        else:
-            # One pass over all seven entries.  On a failure the weights'
-            # own check raises when they are at fault.
-            a = tuple(sorted(weights))
-            valid = len(a) == 5 and _positive_ints((*a, d1, d2))
-            if valid:
-                weights = object.__new__(WeightSystem)
-                object.__setattr__(weights, "a", a)
-            else:
-                weights = WeightSystem(a)
-        if not valid:
+        if not isinstance(weights, WeightSystem):
+            weights = WeightSystem(weights)
+        if not _positive_ints((d1, d2)):
             raise ValueError(f"degrees must be positive integers, got {(d1, d2)}")
         if d1 > d2:
             d1, d2 = d2, d1

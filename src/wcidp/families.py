@@ -249,10 +249,6 @@ def family(family_id: int) -> FamilySpec:
         raise ValueError(f"unknown family id: {family_id}") from None
 
 
-def _env(spec: FamilySpec, params: Mapping[str, int]) -> dict[str, int]:
-    return {name: params[name] for name in spec.parameters}
-
-
 def _checked_names(spec: FamilySpec, params: Mapping[str, int]) -> None:
     if set(params) != set(spec.parameters):
         raise ValueError(
@@ -268,16 +264,15 @@ def _instance_or_reason(
         v = params[name]
         if not isinstance(v, int) or isinstance(v, bool) or v < 1:
             return None, f"{name} must be a positive integer, got {v!r}"
-    env = _env(spec, params)
     for text, code in spec._codes["constraints"]:
         try:
-            if not eval(code, _EVAL_GLOBALS, env):
+            if not eval(code, _EVAL_GLOBALS, params):
                 return None, text
         except _NonIntegral:
             return None, text
     values = []
     for expr, code in zip(spec.weights + spec.degrees, spec._codes["formulas"]):
-        v = eval(code, _EVAL_GLOBALS, env)
+        v = eval(code, _EVAL_GLOBALS, params)
         if v.denominator != 1:
             return None, f"{expr} is not an integer"
         values.append(int(v))
@@ -330,7 +325,7 @@ def family_amplitude(family_id: int, params: Mapping[str, int]) -> int:
     """Value of the series' amplitude column at a valid assignment."""
     _valid_instance(family_id, params)
     spec = family(family_id)
-    v = eval(spec._codes["amplitude"], _EVAL_GLOBALS, _env(spec, params))
+    v = eval(spec._codes["amplitude"], _EVAL_GLOBALS, params)
     if v.denominator != 1:
         raise ValueError(f"amplitude formula non-integral at {dict(params)}")
     return int(v)
