@@ -47,7 +47,6 @@ from __future__ import annotations
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import combinations
 from math import gcd
 from multiprocessing import Pool
 from typing import Callable, Iterator, Sequence
@@ -222,13 +221,13 @@ def _top_pair_member(c: int, a3: int):
     return (a3 - c, 2 * a3 - c)
 
 
-# Branch (d) of the pair condition: ordered pairs (E, F) of two-element
-# position sets within the complement {0, 1, 2} whose union covers it.
-_COVERING_EF = tuple(
-    (E, F)
-    for E in combinations(range(3), 2)
-    for F in combinations(range(3), 2)
-    if len({*E, *F}) == 3
+# Branch (d) of the pair condition at the two largest coordinates, read from
+# two three-bit masks: bit k of m1 (of m2) says that d1 - a_k (d2 - a_k)
+# lies in <a3, a4>, for k in {0, 1, 2}.  It holds when each degree has two
+# such shifts and every k is one of them; _BRANCH_D[m1 | m2 << 3] says so.
+_BRANCH_D = tuple(
+    bin(m1).count("1") >= 2 and bin(m2).count("1") >= 2 and m1 | m2 == 7
+    for m2 in range(8) for m1 in range(8)
 )
 
 
@@ -236,41 +235,30 @@ def _top_pair_candidates(c1: int, c2: int, a0: int, a1: int, a2: int, a3: int):
     """a4 values compatible with the pair condition at the two largest
     coordinates for the pattern (d1, d2) = (c1 + a4, c2 + a4); None when
     the condition holds for every a4."""
-    if (c1 >= 0 and c1 % a3 == 0) or (c2 >= 0 and c2 % a3 == 0):
+    in1 = _top_pair_member(c1, a3)
+    in2 = _top_pair_member(c2, a3)
+    if in1 is None or in2 is None:
         return None
-    out = {*_top_pair_member(c1, a3), *_top_pair_member(c2, a3)}
-    mem1 = (_top_pair_member(c1 - a0, a3), _top_pair_member(c1 - a1, a3),
-            _top_pair_member(c1 - a2, a3))
-    mem2 = (_top_pair_member(c2 - a0, a3), _top_pair_member(c2 - a1, a3),
-            _top_pair_member(c2 - a2, a3))
-    if mem1.count(None) == 1 and mem2.count(None) == 1:
-        x = mem1.index(None)
-        y = mem2.index(None)
-        if x != y:
-            # Generic case: only the shift cancelling the degree's own weight
-            # is unconditional, and the paired-shift condition reduces to
-            # three two-way intersections.
-            z = 3 - x - y
-            m1y, m1z = mem1[y], mem1[z]
-            m2x, m2z = mem2[x], mem2[z]
-            for u in m1y:
-                if u in m2z:
-                    out.add(u)
-            for u in m1z:
-                if u in m2x or u in m2z:
-                    out.add(u)
-            return out
-    for E, F in _COVERING_EF:
-        sets = [mem1[e] for e in E if mem1[e] is not None]
-        sets += [mem2[f] for f in F if mem2[f] is not None]
-        if not sets:
-            return None
-        first = sets[0]
-        if len(sets) == 1:
-            out.update(first)
+    # Branches (a) to (c) need a degree in the span, (d) the shifts.  A shift
+    # whose closed form is None lands for every a4 and sets its bit in
+    # ``base``; any other a4 that can satisfy (d) is listed by some closed
+    # form and collects the bits of the forms that list it.
+    base = 0
+    listed: dict[int, int] = {}
+    for bit, c in ((1, c1 - a0), (2, c1 - a1), (4, c1 - a2),
+                   (8, c2 - a0), (16, c2 - a1), (32, c2 - a2)):
+        values = _top_pair_member(c, a3)
+        if values is None:
+            base |= bit
         else:
-            rest = sets[1:]
-            out.update(v for v in first if all(v in s for s in rest))
+            for v in values:
+                listed[v] = listed.get(v, 0) | bit
+    if _BRANCH_D[base]:
+        return None
+    out = {*in1, *in2}
+    for v, bits in listed.items():
+        if _BRANCH_D[base | bits]:
+            out.add(v)
     return out
 
 

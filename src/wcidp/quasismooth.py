@@ -202,7 +202,13 @@ _SINGLE_CHECKS, _PAIR_CHECKS, _TRIPLE_CHECKS = (
 
 def check_qs(candidate: "Candidate") -> QsReport:
     """Evaluate all 5 + 10 + 10 subset conditions and list every failure,
-    each level in canonical (lexicographic) subset order."""
+    each level in canonical (lexicographic) subset order.
+
+    The conditions read quasi-smoothness only when no degree equals a
+    weight.  On a linear cone a linear equation removes a variable, and a
+    failure listed here is no evidence of a singularity: (1,1,2,2,2; 1,1)
+    is the smooth cone x0 = x1 = 0, yet fails pair (2, 3).  ``classify``
+    rejects a linear cone on that ground alone."""
     a = candidate.weights.a
     d1, d2 = candidate.d1, candidate.d2
     violations = []

@@ -1,5 +1,6 @@
 """Search modes, degree patterns, chunking, determinism."""
 
+import hashlib
 import tracemalloc
 from itertools import combinations_with_replacement
 from math import gcd
@@ -13,17 +14,20 @@ from wcidp.enumerator import (
     Bounds,
     _candidates_fast,
     _candidates_reference,
+    _coord_residues,
     _exhaustive_tuple_solutions,
     _prefix_tuples,
+    _shape_rows,
     _singleton_states,
     _solve_chunk,
     _solve_exhaustive_chunk,
     _solve_shaped_chunk,
+    _top_pair_candidates,
     degree_shapes,
     enumerate_solutions,
     sporadic,
 )
-from wcidp.quasismooth import _singleton_ok
+from wcidp.quasismooth import _pair_ok, _singleton_ok
 
 
 def keys(result):
@@ -141,6 +145,60 @@ def test_fast_candidates_cover_reference_candidates():
         for a4, d1, d2 in ref - fast:
             c = Candidate((w0, w1, w2, w3, a4), d1, d2)
             assert not classify(c).is_del_pezzo, (prefix, a4, d1, d2)
+
+
+def test_fast_candidate_sets_at_30_60_are_pinned():
+    # The fast generator's output for every coprime prefix of (30, 60), in
+    # prefix order.  A change to how it solves for a4 may make it faster or
+    # shorter, but must leave every set as it is.
+    h = hashlib.sha256()
+    total = 0
+    for p in combinations_with_replacement(range(1, 31), 4):
+        if gcd(*p) != 1:
+            continue
+        cands = sorted(_candidates_fast(*p, 30, 60))
+        total += len(cands)
+        h.update(repr((p, cands)).encode())
+    assert total == 682_815
+    assert h.hexdigest() == "1fbc54a3bdd7f094bd72b43fcf5dd6db8a998975d19a14efd98855023d665734"
+
+
+def test_top_pair_candidates_drop_no_a4_the_pair_condition_admits():
+    # For each pattern (d1, d2) = (c1 + a4, c2 + a4), every a4 from a3 up to
+    # the amplitude bound that meets the pair condition at (3, 4) must be
+    # kept.  Sorted prefixes with repeated weights reach the shifts whose
+    # closed form holds for every a4.
+    checked, missed = 0, []
+    for prefix in combinations_with_replacement(range(1, 21), 4):
+        for _, c1, k2, c2 in _shape_rows(*prefix):
+            if k2 != 1:
+                continue
+            pinned = _top_pair_candidates(c1, c2, *prefix)
+            for a4 in range(prefix[3], sum(prefix) - c1 - c2):
+                checked += 1
+                if (pinned is not None and a4 not in pinned
+                        and _pair_ok((*prefix, a4), c1 + a4, c2 + a4, 3, 4)):
+                    missed.append((prefix, c1, c2, a4))
+    assert checked == 316_107
+    assert missed == []
+
+
+def test_coord_residues_drop_no_a4_the_singleton_condition_admits():
+    # Modulo a3 the residues must keep every a4 that meets singleton 3, and
+    # modulo a2 every a4 that meets singleton 2, for each distinct pattern.
+    checked, missed = 0, []
+    for prefix in combinations_with_replacement(range(1, 13), 4):
+        for k1, c1, k2, c2 in set(_shape_rows(*prefix)):
+            for i in (3, 2):
+                m = prefix[i]
+                res = _coord_residues(k1, c1, k2, c2, prefix, m)
+                for a4 in range(prefix[3], 31):
+                    checked += 1
+                    if (res is not None and a4 % m not in res
+                            and _singleton_ok((*prefix, a4), c1 + k1 * a4, c2 + k2 * a4, i)):
+                        missed.append((prefix, k1, c1, k2, c2, m, a4))
+    assert checked == 681_668
+    assert missed == []
 
 
 def test_result_partition_into_sporadic_and_family_carried():

@@ -84,6 +84,17 @@ def oracle(a, d1, d2, expected):
     ((1, 2, 2, 2, 3), 4, 4, False),
     # Pair (3, 4) fails: d1 = 4 and every d1 - a_e miss <3, 3>.
     ((2, 2, 2, 3, 3), 4, 6, False),
+    # Each row below fails exactly one condition.  Singleton 0: a0 = 3
+    # divides neither 8 nor any 8 - a_e.
+    ((3, 4, 4, 4, 4), 8, 8, False),
+    # Singleton 1: only 8 - a0 is a multiple of 3, at both degrees, and the
+    # shifts must differ.
+    ((2, 3, 4, 4, 4), 8, 8, False),
+    # Pair (1, 2), branch (d): of the shifts by a0, a3, a4, only 8 - a0 lands
+    # in <3, 3> at d2, and (d) needs two at each degree.
+    ((2, 3, 3, 4, 4), 7, 8, False),
+    # Pair (2, 3), branch (d): a4 = 4 shifts neither degree into <3, 3>.
+    ((2, 2, 3, 3, 4), 5, 8, False),
 ])
 def test_check_qs_agrees_with_the_groebner_oracle(a, d1, d2, quasi_smooth):
     passed = check_qs(Candidate(a, d1, d2)).passed
