@@ -16,22 +16,35 @@ from .enumerator import (
     enumerate_solutions,
     sporadic,
 )
-from .families import (
-    CATALOG,
-    FamilyMatch,
-    FamilySpec,
-    catalog_records,
-    instantiate,
-    match_tuple,
-    smallest_assignments,
-    valid_params,
-    verify_amplitude_column,
-)
 from .quasismooth import QsReport, check_qs, qs_pair, qs_singleton, qs_triple
 from .semigroup import contains
 from .wellformed import WfReport, check_wf
 
 __version__ = "0.1.0"
+
+# ``families`` parses and compiles every series expression when it is
+# imported, which a caller that only classifies or enumerates never needs;
+# its names load it on first use.
+_FAMILY_NAMES = frozenset({
+    "CATALOG",
+    "FamilyMatch",
+    "FamilySpec",
+    "catalog_records",
+    "instantiate",
+    "match_tuple",
+    "smallest_assignments",
+    "valid_params",
+    "verify_amplitude_column",
+})
+
+
+def __getattr__(name):
+    if name in _FAMILY_NAMES:
+        from . import families
+
+        return getattr(families, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Bounds",

@@ -16,7 +16,6 @@ import sys
 import time
 from importlib import resources
 
-from . import families
 from .classifier import Candidate, Verdict, classify
 from .enumerator import (
     MODE_EXHAUSTIVE,
@@ -182,6 +181,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_families(args) -> int:
+    from . import families
+
     if args.family_cmd == "list":
         records = families.catalog_records()
         if args.json:
@@ -251,6 +252,8 @@ def _load_family_samples() -> dict[int, list[dict[str, int]]]:
 
 
 def cmd_verify(args) -> int:
+    from . import families
+
     try:
         bounds, jobs = _request(args)
     except ValueError as exc:

@@ -37,8 +37,9 @@ the given bounds whose verdict is del Pezzo:
 
 Work is cut into one chunk per value of the smallest weight a0, whatever
 the job count; workers share nothing mutable and the merged, sorted result
-is identical for every job count.  The search ends there: which solutions
-are series instances is asked of ``families`` only when
+is identical for every job count.  ``multiprocessing`` is imported only when
+a run starts more than one worker.  The search ends there: which solutions
+are series instances is asked of ``families``, which is imported only when
 ``EnumerationResult.sporadic`` or ``.family_instances`` is first read.
 """
 
@@ -48,16 +49,16 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cache, cached_property
 from math import gcd
-from multiprocessing import Pool
-from typing import Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
-from . import families
 from .classifier import Candidate, del_pezzo_quick
-from .families import FamilyMatch
 from .quasismooth import _singleton_ok
 from .wellformed import _GCD_CONDITIONS, SINGLE_GCD, is_well_formed
+
+if TYPE_CHECKING:
+    from .families import FamilyMatch
 
 MODE_SHAPED = "shaped"
 MODE_EXHAUSTIVE = "exhaustive"
@@ -98,6 +99,8 @@ class EnumerationResult:
 
     @cached_property
     def _instances(self) -> dict[tuple[int, ...], tuple[FamilyMatch, ...]]:
+        from . import families
+
         return families.instances_within(self.bounds.max_a4, self.bounds.max_d2)
 
     @cached_property
@@ -559,7 +562,13 @@ def enumerate_solutions(
     workers = min(jobs, len(chunk_args))
 
     raw: list[tuple[int, ...]] = []
-    with nullcontext() if workers == 1 else Pool(processes=workers) as pool:
+    if workers == 1:
+        context = nullcontext()
+    else:
+        from multiprocessing import Pool
+
+        context = Pool(processes=workers)
+    with context as pool:
         parts = map(_solve_chunk, chunk_args) if pool is None else pool.imap(_solve_chunk, chunk_args)
         for done, part in enumerate(parts, 1):
             raw.extend(part)

@@ -21,8 +21,9 @@ def golden_sporadic():
 
 @pytest.fixture
 def fake_pool(monkeypatch):
-    """Replace the enumerator's ``Pool`` by one that solves the chunks in
-    this process; the list returned holds each worker count asked for."""
+    """Replace ``multiprocessing.Pool``, which the enumerator imports when a
+    run starts more than one worker, by one that solves the chunks in this
+    process; the list returned holds each worker count asked for."""
     started = []
 
     class FakePool:
@@ -38,5 +39,5 @@ def fake_pool(monkeypatch):
         def imap(self, fn, args):
             return map(fn, args)
 
-    monkeypatch.setattr("wcidp.enumerator.Pool", FakePool)
+    monkeypatch.setattr("multiprocessing.Pool", FakePool)
     return started

@@ -118,17 +118,22 @@ def test_report_at_huge_degrees_matches_transcription(a):
             qs_failures(a, d1, d2, span_of=contains), (a, d1, d2)
 
 
+def fresh_python(*argv):
+    """Run the interpreter with ``argv`` in a new process that imports
+    wcidp from this tree, under a timeout."""
+    src = str(Path(wcidp.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          timeout=30, env=env)
+
+
 def test_check_cost_is_bounded_by_the_weights_not_the_degrees():
     # Membership tables sized by the degrees made this call run out of
     # memory; a fresh interpreter with a timeout keeps a regression from
     # stalling the suite.
-    src = str(Path(wcidp.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     tup = ("1", "2", "3", "4", "5", "1000000000", "1000000001")
-    proc = subprocess.run(
-        [sys.executable, "-m", "wcidp.cli", "check", "--explain", "--require-nonempty", *tup],
-        capture_output=True, text=True, timeout=30, env=env)
+    proc = fresh_python("-m", "wcidp.cli", "check", "--explain", "--require-nonempty", *tup)
     assert proc.returncode == 3, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == "rejected: amplitude -1999999986 < 1 (I=-1999999986)"
@@ -137,6 +142,30 @@ def test_check_cost_is_bounded_by_the_weights_not_the_degrees():
         f"  qs {level} indices={list(idx)}" for level, idx in failures]
     # Weight 1 spans every value, so no note either.
     assert len(lines) == 1 + len(failures)
+
+
+_LOADED = "print(*(m in sys.modules for m in ('wcidp.families', 'multiprocessing', 'numpy')))"
+
+
+@pytest.mark.parametrize("code", [
+    "import sys, wcidp, wcidp.cli",
+    "import sys, wcidp.cli; wcidp.cli.main(['check', '1', '3', '3', '4', '5', '6', '8'])",
+], ids=["import", "check"])
+def test_import_and_check_load_neither_the_catalog_nor_multiprocessing(code):
+    proc = fresh_python("-c", f"{code}; {_LOADED}")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False False True"
+
+
+def test_catalog_names_resolve_on_first_use():
+    code = ("import wcidp; names = {n: getattr(wcidp, n) for n in wcidp.__all__}; "
+            "print(names['match_tuple'] is wcidp.families.match_tuple, "
+            "names['CATALOG'] is wcidp.families.CATALOG)")
+    proc = fresh_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "True"]
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(wcidp, "no_such_name")
 
 
 def test_enumerate_csv_exact_bytes(capsys):

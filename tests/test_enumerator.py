@@ -293,7 +293,7 @@ def test_jobs_that_are_not_positive_integers_are_refused_before_any_work(monkeyp
         raise AssertionError("the run started despite a bad job count")
 
     monkeypatch.setattr(enumerator, "_solve_chunk", must_not_run)
-    monkeypatch.setattr(enumerator, "Pool", must_not_run)
+    monkeypatch.setattr("multiprocessing.Pool", must_not_run)
     for jobs in (True, 2.5, "2", 0):
         with pytest.raises(ValueError, match="jobs"):
             enumerate_solutions(Bounds(5, 10), jobs=jobs)

@@ -1,0 +1,47 @@
+"""The facts that shaped mode's completeness rests on, each checked by a
+sweep that reads only ``tests/definition.py``.
+
+Shaped mode searches only fifteen degree patterns.  It may do so because
+every candidate outside them fails a necessary condition of quasi-smoothness
+(Iano-Fletcher, "Working with weighted complete intersections", 2000, §8).
+"""
+
+import time
+from itertools import combinations, combinations_with_replacement
+
+from definition import pair_branches, singleton
+
+
+def fifteen_patterns(a):
+    """(a_x + a4, a_y + a4) for x < y < 4, and (a_x + a_y, 2*a4) for
+    x <= y with y in {3, 4}."""
+    return ({(a[x] + a[4], a[y] + a[4]) for x, y in combinations(range(4), 2)}
+            | {(a[x] + a[y], 2 * a[4]) for y in (3, 4) for x in range(y + 1)})
+
+
+def test_top_singleton_and_top_pair_imply_the_fifteen_patterns():
+    # Lemma (i): over every sorted tuple with a4 <= 12 and every non-cone
+    # d1 <= d2 with amplitude >= 1, singleton 4 and pair (3, 4) together
+    # put (d1, d2) among the fifteen patterns; with them, d2 <= 2*a4.
+    # Singleton 4 is tested first: it is the cheaper of the two, and only
+    # 56,111 of the pairs pass it.
+    t0 = time.monotonic()
+    swept = met = 0
+    for a in combinations_with_replacement(range(1, 13), 5):
+        weights = set(a)
+        patterns = fifteen_patterns(a)
+        top = sum(a) - 1
+        for d1 in range(1, top // 2 + 1):
+            if d1 in weights:
+                continue
+            for d2 in range(d1, top - d1 + 1):
+                if d2 in weights:
+                    continue
+                swept += 1
+                if singleton(a, d1, d2, 4) and any(pair_branches(a, d1, d2, 3, 4)):
+                    met += 1
+                    assert (d1, d2) in patterns, (a, d1, d2)
+    elapsed = time.monotonic() - t0
+    assert (swept, met) == (782_600, 8_170)
+    print(f"lemma (i) PASS: {met} of {swept} degree pairs meet singleton 4 and "
+          f"pair (3,4), all inside the fifteen patterns, in {elapsed:.1f}s")
