@@ -23,17 +23,26 @@ the given bounds whose verdict is del Pezzo:
   d1 = a_x + a4 (x < y), or d2 = 2*a4 with d1 a sum of two of the top
   weights or a_x + a4.  On top of the pattern restriction it prunes by
   amplitude >= 1, d2 <= min(max_d2, 2*a4), d1 >= a0 + a3, and the
-  four-weight gcd conditions.  To keep the full-bound run tractable, the
-  fast path solves the top-pair and top-singleton membership conditions for
-  a4 in closed form instead of scanning it; these generators only ever
-  produce supersets of the survivors, and every candidate they emit is still
-  fully re-classified, so they cannot introduce false positives.  A plain
-  scanning generator, ``_candidates_reference``, backs the fast path in the
-  differential tests.  The chunk loop filters each candidate, cheapest
-  first: one gcd of a4 with the product of the four three-weight gcds, the
-  linear-cone test, the singleton condition at coordinate 3, then
-  ``del_pezzo_quick``, which tests singletons 4 and 3 last: every pattern
-  meets coordinate 4 by construction, and coordinate 3 was just tested.
+  four-weight gcd conditions.  The generator, ``_candidates_fast``, is one
+  numpy kernel over a batch of coprime (a0, a1, a2, a3) prefixes of one
+  chunk.  It gives each pattern row of each prefix its a4 range in closed
+  form; a short range is kept whole, and a longer one is pinned by the
+  top-pair closed forms or cut to the residues of a4 that the singleton
+  condition at coordinate 3 (else 2) admits, so the kernel works on
+  arithmetic progressions of a4, not on single values.  Its contract is
+  exactness: for each prefix it returns the set of (a4, d1, d2) those rules
+  give, each once (equal weights repeat rows, and distinct rows meet only
+  at a4 = a3 or in two of the d2 = 2*a4 patterns), and tests pin the sets
+  by hash.  The rules only ever keep supersets of the survivors, and every
+  candidate is still fully re-classified, so they cannot introduce false
+  positives; a plain scanning generator, ``_candidates_reference``, backs
+  the kernel in the differential tests.  A batch holds 128 prefixes and
+  needs under 1 MiB (see ``_BATCH_CELLS``).  The chunk loop filters the
+  candidates cheapest first: as numpy masks, one gcd of a4 with the product
+  of the four three-weight gcds and the linear-cone test; then, one by one,
+  the singleton condition at coordinate 3 and ``del_pezzo_quick``, which
+  tests singletons 4 and 3 last: every pattern meets coordinate 4 by
+  construction, and coordinate 3 was just tested.
 
 Work is cut into one chunk per value of the smallest weight a0, whatever
 the job count; workers share nothing mutable and the merged, sorted result
@@ -115,8 +124,32 @@ class EnumerationResult:
                      if c.key in self._instances)
 
 
+# The memory budget of both kernels, in cells of two bytes.
+#
+# Exhaustive mode cuts a batch of weight tuples so that its degree states
+# need at most this many cells: 32 for each degree of each tuple, with
+# degrees up to the largest that can matter, as a degree takes about 64
+# bytes (its state index and its states at the five coordinates).  The
+# batch's coordinate-4 grid, one cell for each (tuple, d1, d2), is built in
+# blocks of whole tuples of at most this many cells, as a grid cell takes
+# two bytes (its state byte and its mask); the survivors kept from each
+# block are a few percent of it.  So a batch needs under 1 MiB (a test
+# holds this at (20, 40)), and the exhaustive run's peak memory stays that
+# of the interpreter and numpy.  Of 2^17..2^20, 2^18 ran fastest at
+# (20, 40); at (30, 60) 2^20 ran about 15 % faster, but needs four times
+# the memory.
+#
+# Shaped mode charges a weight prefix 2048 cells (4 KiB): its fifteen
+# pattern rows and its candidates, up to about 35 at (40, 80), each held in
+# a few arrays of 8-byte entries.  So a batch of _BATCH_CELLS >> 11 = 128
+# prefixes needs under 1 MiB (a test holds this at (40, 80)).  Batches of
+# 256 prefixes ran the generator about a fifth faster, but left the
+# (40, 80) run about 0.8 MB more resident memory.
+_BATCH_CELLS = 1 << 18
+
+
 # ---------------------------------------------------------------------------
-# shaped mode: candidate generation per weight prefix
+# shaped mode: candidate generation for a batch of weight prefixes
 
 # Below this many a4 values, scanning a pattern's range outright is cheaper
 # than solving the membership conditions for a4.
@@ -145,227 +178,310 @@ def degree_shapes(weights: Sequence[int]) -> list[tuple[int, int]]:
     return sorted({(c1 + k1 * a4, c2 + k2 * a4) for k1, c1, k2, c2 in _shape_rows(a0, a1, a2, a3)})
 
 
-def _mod_sols(k: int, r: int, m: int):
-    """Residues x (mod m) with k*x == r (mod m); None means every x.
-
-    Only k in {-1, 0, 1, 2} occurs (degree patterns are at most 2*a4 plus a
-    constant), so each case has a closed form.
-    """
-    r %= m
-    if k == 1:
-        return (r,)
-    if k == -1:
-        return ((m - r) % m,)
-    if k == 0:
-        return None if r == 0 else ()
-    if k == 2:
-        if m & 1:
-            return ((r * ((m + 1) // 2)) % m,)
-        if r & 1:
-            return ()
-        half = m // 2
-        return (r // 2, r // 2 + half)
-    raise ValueError(f"unsupported coefficient {k}")
+# The rows as arrays: k1 and k2 of each row, (15,), and c1 and c2 as the
+# (4, 15) coefficients of (a0, a1, a2, a3), read off the unit prefixes.
+_UNIT_ROWS = np.array([_shape_rows(*e) for e in np.eye(4, dtype=int).tolist()])
+_K1, _K2 = _UNIT_ROWS[0, :, 0], _UNIT_ROWS[0, :, 2]
+_C1, _C2 = _UNIT_ROWS[:, :, 1], _UNIT_ROWS[:, :, 3]
 
 
-def _side_residues(kappa: int, c: int, subs: tuple[int, int, int, int], m: int):
-    """Residues of a4 (mod m) letting d - a_e be divisible by m for some e,
-    where d = kappa*a4 + c.  The fifth subtrahend is a4 itself (kappa - 1).
-    None means the side is satisfiable for every a4."""
-    out: set[int] = set()
-    for s in subs:
-        sols = _mod_sols(kappa, s - c, m)
-        if sols is None:
-            return None
-        out.update(sols)
-    sols = _mod_sols(kappa - 1, -c, m)
-    if sols is None:
-        return None
-    out.update(sols)
-    return out
+def _first_copies(code: int) -> list[bool]:
+    """Which rows repeat no earlier row, for a prefix whose neighbours a_i,
+    a_(i+1) are equal exactly for the bits i set in ``code``."""
+    a = [1]
+    for i in range(3):
+        a.append(a[-1] + (0 if code >> i & 1 else 10 ** i))
+    rows = _shape_rows(*a)
+    return [row not in rows[:r] for r, row in enumerate(rows)]
 
 
-def _coord_residues(k1: int, c1: int, k2: int, c2: int,
-                    subs: tuple[int, int, int, int], m: int):
-    """Necessary residues of a4 (mod m) for the singleton condition at the
-    coordinate of weight m, for the pattern (d1, d2) = (c1 + k1*a4,
-    c2 + k2*a4): m divides d1 or d2, or both sides admit a shift divisible
-    by m.  None means no restriction."""
-    div1 = _mod_sols(k1, -c1, m)
-    if div1 is None:
-        return None
-    div2 = _mod_sols(k2, -c2, m)
-    if div2 is None:
-        return None
-    r1 = _side_residues(k1, c1, subs, m)
-    r2 = _side_residues(k2, c2, subs, m)
-    if r1 is None and r2 is None:
-        return None
-    if r1 is None:
-        both = r2
-    elif r2 is None:
-        both = r1
-    else:
-        both = r1 & r2
-    return both | set(div1) | set(div2)
-
-
-def _top_pair_member(c: int, a3: int):
-    """Closed forms for the a4 values that can make c + a4 a member of
-    <a3, a4>, assuming a3 <= a4 < 2*a3 and |c| <= a3.
-
-    Membership then forces c + a4 to be a plain multiple of a3, except when
-    c is itself a non-negative multiple of a3 (the combination a4 + c), in
-    which case it holds for every a4; that case returns None.  The multiple
-    3*a3 would need a4 >= 2*a3, so two values remain; values outside the
-    caller's range are filtered later."""
-    if c >= 0 and c % a3 == 0:
-        return None
-    return (a3 - c, 2 * a3 - c)
-
+# Equal weights make a row repeat an earlier one.  Rows of equal k1 and k2
+# differ by a single weight in c1 or c2, so in a sorted prefix which rows
+# repeat depends only on which neighbours are equal.
+_FIRST_COPY = np.array([_first_copies(code) for code in range(8)])
 
 # Branch (d) of the pair condition at the two largest coordinates, read from
 # two three-bit masks: bit k of m1 (of m2) says that d1 - a_k (d2 - a_k)
 # lies in <a3, a4>, for k in {0, 1, 2}.  It holds when each degree has two
 # such shifts and every k is one of them; _BRANCH_D[m1 | m2 << 3] says so.
-_BRANCH_D = tuple(
+_BRANCH_D = np.array([
     bin(m1).count("1") >= 2 and bin(m2).count("1") >= 2 and m1 | m2 == 7
     for m2 in range(8) for m1 in range(8)
-)
+])
+_SHIFT_BITS = 1 << np.arange(6)
 
 
-def _top_pair_candidates(c1: int, c2: int, a0: int, a1: int, a2: int, a3: int):
-    """a4 values compatible with the pair condition at the two largest
-    coordinates for the pattern (d1, d2) = (c1 + a4, c2 + a4); None when
-    the condition holds for every a4."""
-    in1 = _top_pair_member(c1, a3)
-    in2 = _top_pair_member(c2, a3)
-    if in1 is None or in2 is None:
-        return None
-    # Branches (a) to (c) need a degree in the span, (d) the shifts.  A shift
-    # whose closed form is None lands for every a4 and sets its bit in
-    # ``base``; any other a4 that can satisfy (d) is listed by some closed
-    # form and collects the bits of the forms that list it.
-    base = 0
-    listed: dict[int, int] = {}
-    for bit, c in ((1, c1 - a0), (2, c1 - a1), (4, c1 - a2),
-                   (8, c2 - a0), (16, c2 - a1), (32, c2 - a2)):
-        values = _top_pair_member(c, a3)
-        if values is None:
-            base |= bit
-        else:
-            for v in values:
-                listed[v] = listed.get(v, 0) | bit
-    if _BRANCH_D[base]:
-        return None
-    out = {*in1, *in2}
-    for v, bits in listed.items():
-        if _BRANCH_D[base | bits]:
-            out.add(v)
-    return out
+def _top_pair_forms(c: np.ndarray, a3: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closed forms for the a4 that make c + a4 a member of <a3, a4> on the
+    steep tail a3 <= a4 < 2*a3, for -a3 < c <= a3, elementwise.
+
+    When c is 0 or a3 (the combination a4 + c), every a4 does: the first
+    array marks those.  Otherwise membership forces c + a4 to be a plain
+    multiple of a3, and 3*a3 would need a4 >= 2*a3, so one a4 of the tail
+    remains, a3 + (-c mod a3): the second array.  The caller filters it to
+    its own range."""
+    return c % a3 == 0, a3 + -c % a3
 
 
-def _candidates_fast(a0: int, a1: int, a2: int, a3: int,
-                     max_a4: int, max_d2: int) -> set[tuple[int, int, int]]:
-    """Shaped-mode candidates (a4, d1, d2) for one weight prefix."""
-    subs = (a0, a1, a2, a3)
-    psum = a0 + a1 + a2 + a3
-    lo = a3
-    cands: set[tuple[int, int, int]] = set()
-    # Equal weights repeat a row; the repeat only re-adds the same tuples.
-    for k1, c1, k2, c2 in _shape_rows(a0, a1, a2, a3):
-        hi = (psum - 1 - c1 - c2) // (k1 + k2 - 1)
-        cap = (max_d2 - c2) // k2
-        if cap < hi:
-            hi = cap
-        if max_a4 < hi:
-            hi = max_a4
-        if hi < lo:
-            continue
-        source: Sequence[int]
-        if hi - lo <= _SCAN_THRESHOLD:
-            # Small ranges: scanning beats solving for a4.
-            source = range(lo, hi + 1)
-        else:
-            pinned = _top_pair_candidates(c1, c2, a0, a1, a2, a3) if k2 == 1 else None
-            if pinned is not None:
-                source = [v for v in pinned if lo <= v <= hi]
-            else:
-                source = range(lo, hi + 1)
-                # Coordinate 3 restricts a4 unless its condition holds for
-                # every a4; coordinate 2 is the fallback.
-                for m in (a3, a2):
-                    res = _coord_residues(k1, c1, k2, c2, subs, m)
-                    if res is not None:
-                        source = []
-                        for r in res:
-                            first = lo + ((r - lo) % m)
-                            source.extend(range(first, hi + 1, m))
-                        break
-        for a4 in source:
-            cands.add((a4, c1 + k1 * a4, c2 + k2 * a4))
-    return cands
+def _top_pair_a4(c1: np.ndarray, c2: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The a4 values compatible with the pair condition at the two largest
+    coordinates, for rows (d1, d2) = (c1 + a4, c2 + a4) of the prefixes p,
+    (4, m), whose a4 ranges lie within a3 <= a4 < 2*a3: an (m, 8) array with
+    -1 for a slot a row does not keep, repeats allowed, and the rows where
+    the condition holds for every a4, whose values mean nothing."""
+    c = np.stack((c1, c2), axis=1)
+    every, forms = _top_pair_forms(
+        np.concatenate((c, (c[:, :, None] - p[:3].T[:, None, :]).reshape(-1, 6)), axis=1), p[3][:, None])
+    # Branches (a) to (c) need a degree in the span, (d) the shifts: a shift
+    # whose closed form holds for every a4 sets its bit in ``base``; any
+    # other a4 that can satisfy (d) is the closed form of some shift and
+    # collects the bits of every shift whose form it is.
+    shifts, listed = every[:, 2:], forms[:, 2:]
+    base = (shifts * _SHIFT_BITS).sum(axis=1)
+    bits = np.where(shifts, 0, _SHIFT_BITS)
+    collected = ((listed[:, :, None] == listed[:, None, :]) * bits[:, None, :]).sum(axis=2)
+    listed[shifts | ~_BRANCH_D[base[:, None] | collected]] = -1
+    return forms, every[:, 0] | every[:, 1] | _BRANCH_D[base]
 
 
-def _candidates_reference(a0: int, a1: int, a2: int, a3: int,
-                          max_a4: int, max_d2: int) -> set[tuple[int, int, int]]:
-    """Plain shaped-mode generator: scan a4 and apply only the documented
-    prunes.  Differential tests hold the fast generator to this one."""
-    cands: set[tuple[int, int, int]] = set()
-    d1_floor = a0 + a3
-    for a4 in range(a3, max_a4 + 1):
-        w = (a0, a1, a2, a3, a4)
-        total = a0 + a1 + a2 + a3 + a4
-        d2_cap = min(max_d2, 2 * a4)
-        for d1, d2 in degree_shapes(w):
-            if d2 > d2_cap or d1 + d2 > total - 1 or d1 < d1_floor:
-                continue
-            cands.add((a4, d1, d2))
-    return cands
+def _linear_residues(k: np.ndarray, r: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The residues x (mod m) with k*x == r (mod m), elementwise: two slots
+    on a new last axis, -1 where empty, and where every x solves it.
+
+    Only k in {-1, 0, 1, 2} occurs (degree patterns are at most 2*a4 plus a
+    constant), so each case has a closed form: x = k*r for k = 1 or -1, and
+    for k = 2, r/2 when r is even and (r + m)/2 when r + m is even."""
+    r = r % m
+    first = np.where(k == 2, np.where(r & 1, -1, r >> 1), k * r % m)
+    first[k == 0] = -1
+    second = np.where((k == 2) & ((r + m) & 1 == 0), (r + m) >> 1, -1)
+    return np.stack((first, second), axis=-1), (k == 0) & (r == 0)
+
+
+def _coord_residues(k1: np.ndarray, c1: np.ndarray, k2: np.ndarray, c2: np.ndarray,
+                    subs: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Necessary residues of a4 (mod m) for the singleton condition at the
+    coordinate of weight m, row by row, for the patterns (d1, d2) =
+    (c1 + k1*a4, c2 + k2*a4): m divides d1 or d2, or both sides admit a
+    shift d - a_e divisible by m, where a_e runs over subs, (4, r), and a4.
+
+    Returns an (r, 14) array with -1 for an empty slot, repeats allowed, and
+    the rows with no restriction, whose residues mean nothing."""
+    # The shifts of d1 by a0..a3 and by a4 (coefficient k1 - 1), the same
+    # for d2, then d1 and d2 themselves.
+    sols, every = _linear_residues(
+        np.stack((k1, k1, k1, k1, k1 - 1, k2, k2, k2, k2, k2 - 1, k1, k2)),
+        np.concatenate((subs - c1, [-c1], subs - c2, [-c2], [-c1], [-c2])), m)
+    sols = sols.transpose(1, 0, 2).reshape(-1, 24)
+    free1, free2 = every[:5].any(axis=0), every[5:10].any(axis=0)
+    r1, r2 = sols[:, :10], sols[:, 10:20]
+    in_r2 = (r1[:, :, None] == r2[:, None, :]).any(axis=2)
+    both = np.where(free1[:, None], r2, np.where(free2[:, None] | in_r2, r1, -1))
+    return np.concatenate((both, sols[:, 20:]), axis=1), every[10] | every[11] | (free1 & free2)
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """values, (r, s), sorted along each row, with -1 in place of each
+    repeat.  A stable sort pages in the least of numpy's sorting code."""
+    values = np.sort(values, axis=1, kind="stable")
+    values[:, 1:][values[:, 1:] == values[:, :-1]] = -1
+    return values
+
+
+def _rows(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (prefix, row) pairs where the (n, 15) ``mask`` holds, repeated
+    cyclically to a multiple of 64, and which of them are the originals.
+
+    numpy keeps up to seven freed buffers of every size under 1 KiB for
+    reuse, so arrays of as many sizes as row counts take kept about a
+    megabyte after a (40, 80) run; counts rounded up take a handful of
+    sizes.  A repeat computes what its original does, so writing both to a
+    table is harmless, and it is kept out of the progressions."""
+    j, r = np.nonzero(mask)
+    size = -(-j.size // 64) * 64
+    return np.resize(j, size), np.resize(r, size), np.arange(size) < j.size
+
+
+def _progressions(p: np.ndarray, max_a4: int, max_d2: int):
+    """The a4 values of every pattern row of the prefixes p, (4, n).
+
+    Returns c1 and c2, (n, 15); the candidates at a4 = a3, as rows (column
+    of p, a4, d1, d2); and above a3, flat arrays (cell, first, step, count)
+    of arithmetic progressions of a4, where the cell j*15 + r names prefix
+    j's row r.  A range of at most ``_SCAN_THRESHOLD`` + 1 values is kept
+    whole; any other is pinned by the top pair (rows with d2 = c2 + a4) or
+    restricted to residues of a4 modulo a3, else modulo a2, else kept
+    whole.
+    """
+    n = p.shape[1]
+    a3 = p[3][:, None]
+    c1, c2 = p.T @ _C1, p.T @ _C2
+    hi = (p.sum(axis=0)[:, None] - 1 - c1 - c2) // (_K1 + _K2 - 1)
+    np.minimum(hi, (max_d2 - c2) // _K2, out=hi)
+    np.minimum(hi, max_a4, out=hi)
+    live = hi >= a3
+    # Equal weights repeat a row; the first copy stands for all of them.
+    live &= _FIRST_COPY[(p[0] == p[1]) + 2 * (p[1] == p[2]) + 4 * (p[2] == p[3])]
+    solve = live & (hi - a3 > _SCAN_THRESHOLD)
+    whole = live & ~solve
+
+    # The top pair pins the a4 of its rows to values in [a3, 2*a3), each
+    # kept as its residue modulo a3 (hi < 2*a3 there).
+    at_a3 = whole.copy()
+    j, r, real = _rows(solve & (_K2 == 1))
+    values, free = _top_pair_a4(c1[j, r], c2[j, r], p[:, j])
+    values = np.where(values < 0, -1, values - p[3, j, None])
+    at_a3[j, r] |= ~free & (values == 0).any(axis=1)
+    rows = [(j, r, real & ~free, p[3, j], np.concatenate((values, np.full((j.size, 6), -1)), axis=1))]
+    # Coordinate 3 restricts a4 unless its condition holds for every a4;
+    # coordinate 2 is the fallback, and a range neither restricts is whole.
+    rest = solve & (_K2 == 2)
+    rest[j, r] |= free
+    for i in (3, 2):
+        if not rest.any():
+            break
+        j, r, real = _rows(rest)
+        m = p[i, j]
+        res, every = _coord_residues(_K1[r], c1[j, r], _K2[r], c2[j, r], p[:, j], m)
+        at_a3[j, r] |= ~every & (res == (p[3, j] % m)[:, None]).any(axis=1)
+        rows.append((j, r, real & ~every, m, res))
+        rest[:] = False
+        rest[j, r] = every
+    whole |= rest
+    at_a3 |= rest
+    j, r, kept, m, res = map(np.concatenate, zip(*rows))
+
+    # At a4 = a3 every row gives (a_x + a3, a_y + a3), so distinct rows can
+    # meet: one key per pair.
+    radix = 2 * max_a4 + 1
+    key = _distinct(np.where(at_a3, (c1 + _K1 * a3) * radix + c2 + _K2 * a3, -1))
+    jl, rl = np.nonzero(key >= 0)
+    key = key[jl, rl]
+    low = np.stack((jl, p[3, jl], key // radix, key % radix), axis=1)
+
+    res = _distinct(res)
+    first = a3[j] + 1 + (res - a3[j] - 1) % m[:, None]
+    count = np.where((res >= 0) & kept[:, None], (hi[j, r][:, None] - first) // m[:, None] + 1, 0)
+    used = np.flatnonzero(count)
+    row = used // 14
+    count_whole = np.where(whole, hi - a3, 0).ravel()
+    cell = np.flatnonzero(count_whole)
+    return c1, c2, low, *(np.concatenate(x) for x in zip(
+        ((j * 15 + r)[row], first.ravel()[used], m[row], count.ravel()[used]),
+        (cell, p[3, cell // 15] + 1, np.ones_like(cell), count_whole[cell])))
+
+
+class _Rows(np.ndarray):
+    """Candidate rows (column of p, a4, d1, d2), one per line.  Like a set
+    of candidates, and unlike a plain array, they are true when there is at
+    least one, so callers may test them as they tested sets."""
+
+    def __bool__(self) -> bool:
+        return len(self) > 0
+
+
+def _candidates_fast(p: np.ndarray, max_a4: int, max_d2: int) -> _Rows:
+    """Shaped-mode candidates for a batch of weight prefixes.
+
+    p is a (4, n) array, one (a0, a1, a2, a3) column per prefix.  Returns
+    (m, 4) distinct rows (column of p, a4, d1, d2), for each prefix the set
+    ``_progressions`` describes.
+    """
+    n = p.shape[1]
+    c1, c2, low, cell, first, step, count = _progressions(p, max_a4, max_d2)
+    # Dummies (cell 0, a4 = 0, never kept) bring the count to a multiple of
+    # 128 (see _rows).
+    total = int(count.sum())
+    count = np.append(count, -total % 128)
+    at = np.repeat(np.arange(count.size), count)
+    a4 = np.arange(at.size) - np.repeat(count.cumsum() - count, count)
+    a4 *= np.append(step, 0)[at]
+    a4 += np.append(first, 0)[at]
+    cell = np.append(cell, 0)[at]
+    j, r = cell // 15, cell % 15
+    d1 = c1.ravel()[cell] + _K1[r] * a4
+    # Above a3, two rows meet only with d2 = 2*a4 and d1 both a_x + a3 (a
+    # row with k1 = 0, at a4 = a3 + a_x - a_y) and a_y + a4 (k1 = 1).  Both
+    # candidates then name the same (prefix, x, y): the first row marks it
+    # in a table, and the second is dropped where it finds the mark.
+    # weight[j, v] is an x < 4 with a_x = v, else 4.
+    weight = np.full((n, max_a4 + 2), 4, dtype=np.int8)
+    weight[np.arange(n), p] = np.arange(4)[:, None]
+    x = weight[j, np.clip(d1 - p[3, j], 0, max_a4 + 1)]
+    y = weight[j, np.clip(d1 - a4, 0, max_a4 + 1)]
+    meet = (r >= 6) & (r <= 13) & (x < 4) & (y < 4)
+    at = (j * 4 + x) * 4 + y
+    # Index 16*n is never marked; 16*n + 1 takes the marks of the rest.
+    table = np.zeros(16 * n + 2, dtype=bool)
+    table[np.where(meet & (_K1[r] == 0), at, 16 * n + 1)] = True
+    keep = np.arange(a4.size) < total
+    keep &= ~table[np.where(meet & (_K1[r] == 1), at, 16 * n)]
+    return np.concatenate((low, np.stack((j, a4, d1, c2.ravel()[cell] + _K2[r] * a4), axis=1)[keep])).view(_Rows)
+
+
+def _candidates_reference(p: np.ndarray, max_a4: int, max_d2: int) -> np.ndarray:
+    """Plain shaped-mode generator: scan a4 for each prefix and apply only
+    the documented prunes.  It takes and returns what ``_candidates_fast``
+    does, and the differential tests hold that one to it."""
+    cands = []
+    for j, (a0, a1, a2, a3) in enumerate(p.T.tolist()):
+        for a4 in range(a3, max_a4 + 1):
+            total = a0 + a1 + a2 + a3 + a4
+            d2_cap = min(max_d2, 2 * a4)
+            for d1, d2 in degree_shapes((a0, a1, a2, a3, a4)):
+                if d2 > d2_cap or d1 + d2 > total - 1 or d1 < a0 + a3:
+                    continue
+                cands.append((j, a4, d1, d2))
+    return np.array(cands, dtype=np.int64).reshape(-1, 4)
+
+
+def _shaped_prefixes(max_a4: int, a0: int, size: int) -> Iterator[np.ndarray]:
+    """The coprime weight prefixes (a0, a1, a2, a3) of one chunk in
+    lexicographic order, as (4, m) arrays of ``size`` columns (the last may
+    hold fewer); a batch may span values of a1.  Each a1 builds all its
+    (a2, a3) pairs at once, up to 125,250 of them at max_a4 = 500."""
+    held = np.empty((4, 0), dtype=np.int64)
+    for a1 in range(a0, max_a4 + 1):
+        a2, a3 = np.triu_indices(max_a4 + 1 - a1)
+        p = np.stack((np.full_like(a2, a0), np.full_like(a2, a1), a2 + a1, a3 + a1))
+        held = np.concatenate((held, p[:, np.gcd(gcd(a0, a1), np.gcd(p[2], p[3])) == 1]), axis=1)
+        while held.shape[1] >= size:
+            yield held[:, :size]
+            held = held[:, size:]
+    if held.shape[1]:
+        yield held
 
 
 def _solve_shaped_chunk(max_a4: int, max_d2: int, a0: int,
                         generator: Callable) -> list[tuple[int, ...]]:
     sols = []
-    for a1 in range(a0, max_a4 + 1):
-        g01 = gcd(a0, a1)
-        for a2 in range(a1, max_a4 + 1):
-            g012 = gcd(g01, a2)
-            for a3 in range(a2, max_a4 + 1):
-                if gcd(g012, a3) != 1:
-                    continue
-                # a4 shares a prime with one of the four three-weight gcds
-                # exactly when it shares one with their product.
-                g_prod = g012 * gcd(g01, a3) * gcd(gcd(a0, a2), a3) * gcd(gcd(a1, a2), a3)
-                for a4, d1, d2 in generator(a0, a1, a2, a3, max_a4, max_d2):
-                    if g_prod != 1 and gcd(g_prod, a4) != 1:
-                        continue
-                    # Every pattern has d2 > a4 and d1 >= a0 + a3 > a3, so
-                    # the one linear cone left to rule out is d1 = a4.
-                    if d1 == a4:
-                        continue
-                    w = (a0, a1, a2, a3, a4)
-                    if _singleton_ok(w, d1, d2, 3) and del_pezzo_quick(w, d1, d2):
-                        sols.append((*w, d1, d2))
+    size = max(1, _BATCH_CELLS >> 11)
+    for p in _shaped_prefixes(max_a4, a0, size):
+        # A short batch is filled up with prefixes beyond the box, which
+        # have no candidates, so that every batch has one size (see _rows).
+        p = np.concatenate((p, np.full((4, size - p.shape[1]), max_a4 + 1)), axis=1)
+        g01 = np.gcd(p[0], p[1])
+        g012 = np.gcd(g01, p[2])
+        # a4 shares a prime with one of the four three-weight gcds exactly
+        # when it shares one with their product.
+        g_prod = g012 * np.gcd(g01, p[3]) * np.gcd(np.gcd(p[0], p[2]), p[3]) * np.gcd(np.gcd(p[1], p[2]), p[3])
+        cands = generator(p, max_a4, max_d2)
+        # Every pattern has d2 > a4 and d1 >= a0 + a3 > a3, so the one linear
+        # cone left to rule out is d1 = a4.  Rows of zeros, which it rules
+        # out, make the count a multiple of 128 (see _rows).
+        cands = np.concatenate((cands, np.zeros((-len(cands) % 128, 4), dtype=cands.dtype)))
+        j, a4 = cands[:, 0], cands[:, 1]
+        cands = cands[(np.gcd(g_prod[j], a4) == 1) & (cands[:, 2] != a4)]
+        prefixes = list(map(tuple, p.T.tolist()))
+        for j, a4, d1, d2 in zip(*cands.T.tolist()):
+            w = prefixes[j] + (a4,)
+            if _singleton_ok(w, d1, d2, 3) and del_pezzo_quick(w, d1, d2):
+                sols.append((*w, d1, d2))
     return sols
 
 
 # ---------------------------------------------------------------------------
 # exhaustive mode
-
-# The memory budget of the exhaustive kernel, in cells of two bytes.  A
-# batch of weight tuples is cut so that its degree states need at most this
-# many cells: 32 for each degree of each tuple, with degrees up to the
-# largest that can matter, as a degree takes about 64 bytes (its state
-# index and its states at the five coordinates).  The batch's coordinate-4
-# grid, one cell for each (tuple, d1, d2), is built in blocks of whole
-# tuples of at most this many cells, as a grid cell takes two bytes (its
-# state byte and its mask); the survivors kept from each block are a few
-# percent of it.  So a batch needs under 1 MiB (a test holds this at
-# (20, 40)), and the exhaustive run's peak memory stays that of the
-# interpreter and numpy.  Of 2^17..2^20, 2^18 ran fastest at (20, 40); at
-# (30, 60) 2^20 ran about 15 % faster, but needs four times the memory.
-_BATCH_CELLS = 1 << 18
 
 _HIT_BITS = (1 << np.arange(5)).astype(np.uint8)
 

@@ -9,6 +9,7 @@ for degrees too large for a table.
 """
 
 from itertools import combinations
+from math import gcd
 
 
 def _reachable(gens, size):
@@ -92,3 +93,13 @@ def qs_failures(a, d1, d2, span_of=span):
                if not any(pair_branches(a, d1, d2, *s, span_of=span_of))]
             + [("triple", s) for s in combinations(range(5), 3)
                if not triple(a, d1, d2, *s, span_of=span_of)])
+
+
+def well_formed(a, d1, d2):
+    """Any four weights are coprime, the gcd of any three divides both d1
+    and d2, and the gcd of any two divides d1 or d2: no stratum of the
+    weighted projective space where a weight subset's gcd exceeds 1 meets
+    the surface in a curve."""
+    return (all(gcd(*s) == 1 for s in combinations(a, 4))
+            and all(d1 % g == 0 and d2 % g == 0 for g in (gcd(*s) for s in combinations(a, 3)))
+            and all(d1 % g == 0 or d2 % g == 0 for g in (gcd(*s) for s in combinations(a, 2))))

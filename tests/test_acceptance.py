@@ -13,13 +13,14 @@ import os
 import time
 from itertools import combinations
 
+import numpy as np
 import pytest
 from definition import pair_branches, span
 
 from wcidp import families
 from wcidp.classifier import Candidate, amplitude, classify
 from wcidp.cli import _write_csv
-from wcidp.enumerator import Bounds, _top_pair_member, degree_shapes, enumerate_solutions
+from wcidp.enumerator import Bounds, _top_pair_forms, degree_shapes, enumerate_solutions
 
 DESK_BOUNDS = Bounds(60, 120)
 CROSS_BOUNDS = Bounds(40, 80)
@@ -144,20 +145,20 @@ def test_c06_degree_bounds_hold_on_exhaustive_output(cross_results):
 
 
 def test_c07_steep_tail_closed_forms_match_brute_force():
-    # The shaped generator pins a4 by ``_top_pair_member``: on a steep tail
+    # The shaped generator pins a4 by ``_top_pair_forms``: on a steep tail
     # a3 <= a4 < 2*a3, c + a4 lies in <a3, a4> exactly when the closed form
-    # answers None (every a4) or lists a4.  The generator asks with
-    # c = a_x or c = a_x - a_t for weights 1 <= a_t, a_x <= a3, so sweeping
+    # holds for every a4 or names a4.  The generator asks with c = a_x or
+    # c = a_x - a_t for weights 1 <= a_t, a_x <= a3, so sweeping
     # -a3 < c <= a3 with a4 <= 60 covers every sorted quintuple the
     # statement quantifies over.
     t0 = time.monotonic()
     checked = 0
     for a3 in range(1, 61):
+        c = np.arange(1 - a3, a3 + 1)
+        every, form = _top_pair_forms(c, a3)
         for a4 in range(a3, min(2 * a3 - 1, 60) + 1):
-            for c in range(1 - a3, a3 + 1):
-                closed = _top_pair_member(c, a3)
-                s = span((a3, a4), c + a4)
-                assert (closed is None or a4 in closed) == s, (a3, a4, c)
+            for ci, closed in zip(c.tolist(), (every | (form == a4)).tolist()):
+                assert closed == span((a3, a4), ci + a4), (a3, a4, ci)
                 checked += 1
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0, f"closed-form sweep took {elapsed:.1f}s"

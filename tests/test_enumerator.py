@@ -18,11 +18,12 @@ from wcidp.enumerator import (
     _exhaustive_tuple_solutions,
     _prefix_tuples,
     _shape_rows,
+    _shaped_prefixes,
     _singleton_states,
     _solve_chunk,
     _solve_exhaustive_chunk,
     _solve_shaped_chunk,
-    _top_pair_candidates,
+    _top_pair_a4,
     degree_shapes,
     enumerate_solutions,
     sporadic,
@@ -38,6 +39,38 @@ def prefix_batch(prefix, max_a4):
     """The coprime weight tuples of one (a0, a1, a2) prefix, as a (5, n) array."""
     w = np.concatenate(list(_prefix_tuples(max_a4, prefix[0], 7)), axis=1)
     return w[:, (w[1] == prefix[1]) & (w[2] == prefix[2])]
+
+
+def coprime_prefixes(max_a4, a0s):
+    """The coprime (a0, a1, a2, a3) prefixes with a0 in a0s, in
+    lexicographic order."""
+    return [p for a0 in a0s for p in combinations_with_replacement(range(a0, max_a4 + 1), 3)
+            for p in [(a0, *p)] if gcd(*p) == 1]
+
+
+def candidate_sets(prefixes, max_a4, max_d2, generator=_candidates_fast, batch=512):
+    """Each prefix's sorted (a4, d1, d2) candidates, the generator run on
+    batches of ``batch`` prefixes."""
+    sets = []
+    for lo in range(0, len(prefixes), batch):
+        p = np.array(prefixes[lo:lo + batch]).T
+        c = generator(p, max_a4, max_d2)
+        c = c[np.lexsort(c.T[::-1])]
+        cut = np.searchsorted(c[:, 0], np.arange(p.shape[1] + 1))
+        rows = list(map(tuple, c[:, 1:].tolist()))
+        sets.extend(rows[cut[k]:cut[k + 1]] for k in range(p.shape[1]))
+    return sets
+
+
+def pinned_digest(prefixes, max_a4, max_d2):
+    """The number of candidates and the sha256 of every prefix with its
+    sorted candidates, in prefix order."""
+    h = hashlib.sha256()
+    total = 0
+    for p, cands in zip(prefixes, candidate_sets(prefixes, max_a4, max_d2)):
+        total += len(cands)
+        h.update(repr((p, cands)).encode())
+    return total, h.hexdigest()
 
 
 def reference_keys(max_a4, max_d2):
@@ -138,12 +171,12 @@ def test_fast_generator_matches_reference_at_medium_bounds():
 def test_fast_candidates_cover_reference_candidates():
     # At generation level the fast path may emit fewer raw candidates, but
     # never miss one the reference keeps after full classification.
-    for prefix in [(1, 2, 3, 5), (2, 3, 7, 8), (1, 1, 4, 4), (3, 3, 3, 5), (2, 4, 5, 9)]:
-        ref = _candidates_reference(*prefix, 24, 48)
-        fast = _candidates_fast(*prefix, 24, 48)
-        w0, w1, w2, w3 = prefix
-        for a4, d1, d2 in ref - fast:
-            c = Candidate((w0, w1, w2, w3, a4), d1, d2)
+    prefixes = [(1, 2, 3, 5), (2, 3, 7, 8), (1, 1, 4, 4), (3, 3, 3, 5), (2, 4, 5, 9)]
+    ref = candidate_sets(prefixes, 24, 48, _candidates_reference)
+    fast = candidate_sets(prefixes, 24, 48)
+    for prefix, r, f in zip(prefixes, ref, fast):
+        for a4, d1, d2 in set(r) - set(f):
+            c = Candidate((*prefix, a4), d1, d2)
             assert not classify(c).is_del_pezzo, (prefix, a4, d1, d2)
 
 
@@ -151,34 +184,55 @@ def test_fast_candidate_sets_at_30_60_are_pinned():
     # The fast generator's output for every coprime prefix of (30, 60), in
     # prefix order.  A change to how it solves for a4 may make it faster or
     # shorter, but must leave every set as it is.
-    h = hashlib.sha256()
-    total = 0
-    for p in combinations_with_replacement(range(1, 31), 4):
-        if gcd(*p) != 1:
-            continue
-        cands = sorted(_candidates_fast(*p, 30, 60))
-        total += len(cands)
-        h.update(repr((p, cands)).encode())
-    assert total == 682_815
-    assert h.hexdigest() == "1fbc54a3bdd7f094bd72b43fcf5dd6db8a998975d19a14efd98855023d665734"
+    assert pinned_digest(coprime_prefixes(30, range(1, 31)), 30, 60) == (
+        682_815, "1fbc54a3bdd7f094bd72b43fcf5dd6db8a998975d19a14efd98855023d665734")
 
 
-def test_top_pair_candidates_drop_no_a4_the_pair_condition_admits():
+def test_fast_candidate_sets_of_the_a0_450_chunk_of_the_full_bound_are_pinned():
+    # The same at the paper's bound (500, 1000), for the 19,132 prefixes of
+    # the chunk a0 = 450: moduli a3 and a2 up to 500 reach top-pair and
+    # residue cases that (30, 60) never does.  Pinned from the per-prefix
+    # generator this kernel replaced.
+    prefixes = coprime_prefixes(500, [450])
+    assert len(prefixes) == 19_132
+    assert pinned_digest(prefixes, 500, 1000) == (
+        471_188, "39e888bb0242de14dc369b4f67ae0bea568866641f2d09a394e7504c1881196e")
+
+
+def test_fast_candidate_sets_do_not_depend_on_the_batch():
+    # A prefix's candidates come from its own rows only, whatever shares its
+    # batch: batches of one prefix, of a few (which leave most residue and
+    # top-pair rows unpadded) and of many give the same sets, each set once.
+    prefixes = coprime_prefixes(24, [2, 12])
+    whole = candidate_sets(prefixes, 24, 48, batch=len(prefixes))
+    assert all(len(s) == len(set(s)) for s in whole)
+    for batch in (1, 3, 64):
+        assert candidate_sets(prefixes, 24, 48, batch=batch) == whole, batch
+
+
+def test_shaped_prefixes_stream_every_coprime_prefix_in_order():
+    for size in (1, 5, 1000):
+        for a0 in (1, 4, 9):
+            pieces = list(_shaped_prefixes(9, a0, size))
+            assert all(p.shape[1] == size for p in pieces[:-1])
+            assert [tuple(c) for p in pieces for c in p.T.tolist()] == coprime_prefixes(9, [a0])
+
+
+def test_top_pair_a4_drops_no_a4_the_pair_condition_admits():
     # For each pattern (d1, d2) = (c1 + a4, c2 + a4), every a4 from a3 up to
     # the amplitude bound that meets the pair condition at (3, 4) must be
     # kept.  Sorted prefixes with repeated weights reach the shifts whose
     # closed form holds for every a4.
+    rows = [(prefix, c1, c2) for prefix in combinations_with_replacement(range(1, 21), 4)
+            for _, c1, k2, c2 in _shape_rows(*prefix) if k2 == 1]
+    prefixes, c1, c2 = (np.array(x) for x in zip(*rows))
+    values, free = _top_pair_a4(c1, c2, prefixes.T)
     checked, missed = 0, []
-    for prefix in combinations_with_replacement(range(1, 21), 4):
-        for _, c1, k2, c2 in _shape_rows(*prefix):
-            if k2 != 1:
-                continue
-            pinned = _top_pair_candidates(c1, c2, *prefix)
-            for a4 in range(prefix[3], sum(prefix) - c1 - c2):
-                checked += 1
-                if (pinned is not None and a4 not in pinned
-                        and _pair_ok((*prefix, a4), c1 + a4, c2 + a4, 3, 4)):
-                    missed.append((prefix, c1, c2, a4))
+    for (prefix, c1, c2), kept, every in zip(rows, values.tolist(), free.tolist()):
+        for a4 in range(prefix[3], sum(prefix) - c1 - c2):
+            checked += 1
+            if not every and a4 not in kept and _pair_ok((*prefix, a4), c1 + a4, c2 + a4, 3, 4):
+                missed.append((prefix, c1, c2, a4))
     assert checked == 316_107
     assert missed == []
 
@@ -186,17 +240,20 @@ def test_top_pair_candidates_drop_no_a4_the_pair_condition_admits():
 def test_coord_residues_drop_no_a4_the_singleton_condition_admits():
     # Modulo a3 the residues must keep every a4 that meets singleton 3, and
     # modulo a2 every a4 that meets singleton 2, for each distinct pattern.
+    rows = [(prefix, row, i) for prefix in combinations_with_replacement(range(1, 13), 4)
+            for row in set(_shape_rows(*prefix)) for i in (3, 2)]
+    prefixes = np.array([prefix for prefix, _, _ in rows]).T
+    k1, c1, k2, c2 = np.array([row for _, row, _ in rows]).T
+    m = prefixes[[i for _, _, i in rows], np.arange(len(rows))]
+    res, free = _coord_residues(k1, c1, k2, c2, prefixes, m)
     checked, missed = 0, []
-    for prefix in combinations_with_replacement(range(1, 13), 4):
-        for k1, c1, k2, c2 in set(_shape_rows(*prefix)):
-            for i in (3, 2):
-                m = prefix[i]
-                res = _coord_residues(k1, c1, k2, c2, prefix, m)
-                for a4 in range(prefix[3], 31):
-                    checked += 1
-                    if (res is not None and a4 % m not in res
-                            and _singleton_ok((*prefix, a4), c1 + k1 * a4, c2 + k2 * a4, i)):
-                        missed.append((prefix, k1, c1, k2, c2, m, a4))
+    for (prefix, (k1, c1, k2, c2), i), kept, every in zip(rows, res.tolist(), free.tolist()):
+        m = prefix[i]
+        for a4 in range(prefix[3], 31):
+            checked += 1
+            if (not every and a4 % m not in kept
+                    and _singleton_ok((*prefix, a4), c1 + k1 * a4, c2 + k2 * a4, i)):
+                missed.append((prefix, k1, c1, k2, c2, m, a4))
     assert checked == 681_668
     assert missed == []
 
@@ -404,6 +461,36 @@ def test_exhaustive_chunk_memory_stays_within_the_stated_budget():
     finally:
         tracemalloc.stop()
     assert peak <= 1 << 20, peak
+
+
+def test_shaped_chunk_memory_stays_within_the_stated_budget():
+    # The comment on _BATCH_CELLS promises that a shaped batch, kernel and
+    # filter, needs under 1 MiB at (40, 80).  Measured on the largest chunk,
+    # a0 = 1, and on a0 = 19, whose batches hold the most candidates.  The
+    # first runs fill the membership caches, which are not the batch's.
+    for a0 in (1, 19):
+        _solve_shaped_chunk(40, 80, a0, _candidates_fast)
+        tracemalloc.start()
+        try:
+            _solve_shaped_chunk(40, 80, a0, _candidates_fast)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20, (a0, peak)
+
+
+def test_shaped_chunk_result_does_not_depend_on_batch_size(monkeypatch):
+    # Batches of 1, 3 and 128 prefixes (2048 cells a prefix), short ones
+    # filled up with prefixes beyond the box, give the same solutions; only
+    # their order within a chunk may differ.
+    def chunks():
+        return [sorted(_solve_shaped_chunk(20, 40, a0, _candidates_fast)) for a0 in range(1, 21)]
+
+    default = chunks()
+    assert sum(map(len, default)) == 183
+    for cells in (2048, 3 * 2048):
+        monkeypatch.setattr(enumerator, "_BATCH_CELLS", cells)
+        assert chunks() == default, cells
 
 
 def test_stage_counts_at_20_40_are_pinned(monkeypatch):

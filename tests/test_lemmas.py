@@ -6,10 +6,12 @@ every candidate outside them fails a necessary condition of quasi-smoothness
 (Iano-Fletcher, "Working with weighted complete intersections", 2000, §8).
 """
 
+import os
 import time
 from itertools import combinations, combinations_with_replacement
 
-from definition import pair_branches, singleton
+import pytest
+from definition import pair_branches, singleton, triple, well_formed
 
 
 def fifteen_patterns(a):
@@ -45,3 +47,41 @@ def test_top_singleton_and_top_pair_imply_the_fifteen_patterns():
     assert (swept, met) == (782_600, 8_170)
     print(f"lemma (i) PASS: {met} of {swept} degree pairs meet singleton 4 and "
           f"pair (3,4), all inside the fifteen patterns, in {elapsed:.1f}s")
+
+
+@pytest.mark.parametrize("max_a4", [12, pytest.param(22, marks=pytest.mark.skipif(
+    not os.environ.get("WCIDP_SLOW"), reason="the a4 <= 22 sweep takes many minutes; set WCIDP_SLOW=1"))])
+def test_singletons_and_pairs_bound_d1_and_with_well_formedness_imply_the_triples(max_a4):
+    # One sweep over every sorted tuple with a4 <= max_a4 and every non-cone
+    # d1 <= d2 with amplitude >= 1.  Lemma (ii): all five singletons and all
+    # ten pairs imply d1 >= a0 + a3, so below that floor one of them fails.
+    # Lemma (iii): singletons, pairs and well-formedness imply all ten
+    # triples.  Singleton 4 goes first, as in lemma (i).
+    t0 = time.monotonic()
+    swept = below = met = formed = 0
+    for a in combinations_with_replacement(range(1, max_a4 + 1), 5):
+        weights = set(a)
+        top = sum(a) - 1
+        for d1 in range(1, top // 2 + 1):
+            if d1 in weights:
+                continue
+            for d2 in range(d1, top - d1 + 1):
+                if d2 in weights:
+                    continue
+                swept += 1
+                below += d1 < a[0] + a[3]
+                if not (all(singleton(a, d1, d2, i) for i in (4, 3, 2, 1, 0))
+                        and all(any(pair_branches(a, d1, d2, i, j))
+                                for i, j in combinations(range(5), 2))):
+                    continue
+                met += 1
+                assert d1 >= a[0] + a[3], (a, d1, d2)
+                if well_formed(a, d1, d2):
+                    formed += 1
+                    assert all(triple(a, d1, d2, *s) for s in combinations(range(5), 3)), (a, d1, d2)
+    elapsed = time.monotonic() - t0
+    if max_a4 == 12:
+        assert (swept, below, met, formed) == (782_600, 648_492, 616, 72)
+    print(f"lemmas (ii) and (iii) PASS: of {swept} degree pairs, {below} lie below "
+          f"d1 = a0 + a3 and fail a singleton or pair; {met} meet the singletons and "
+          f"pairs, {formed} of them well-formed and meeting every triple, in {elapsed:.1f}s")
