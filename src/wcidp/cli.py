@@ -97,7 +97,9 @@ def _verdict_lines(c: Candidate, verdict: Verdict, explain: bool) -> list[str]:
             reasons.append(f"linear cone (degree {hit} equals a weight)")
         if not verdict.wf.passed:
             reasons.append("not well-formed")
-        if not verdict.qs.passed:
+        # The qs conditions assume no linear cone (Iano-Fletcher §8); on a
+        # cone they are no evidence of a singularity.
+        if not verdict.qs.passed and not verdict.is_linear_cone:
             reasons.append("not quasi-smooth")
         if verdict.amplitude < 1:
             reasons.append(f"amplitude {verdict.amplitude} < 1")
@@ -105,8 +107,11 @@ def _verdict_lines(c: Candidate, verdict: Verdict, explain: bool) -> list[str]:
     if explain:
         for v in verdict.wf.violations:
             lines.append(f"  wf {v.condition} omitted={list(v.omitted)}: gcd={v.gcd_value}")
-        for v in verdict.qs.violations:
-            lines.append(f"  qs {v.level} indices={list(v.indices)}: {v.detail}")
+        if verdict.is_linear_cone:
+            lines.append("  linear cone: qs conditions not evaluated")
+        else:
+            for v in verdict.qs.violations:
+                lines.append(f"  qs {v.level} indices={list(v.indices)}: {v.detail}")
     return lines
 
 

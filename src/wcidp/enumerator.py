@@ -21,28 +21,34 @@ the given bounds whose verdict is del Pezzo:
 * ``shaped`` iterates only the fifteen degree patterns a quasi-smooth
   candidate can have at its largest weight: d2 = a_y + a4 (y < 4) with
   d1 = a_x + a4 (x < y), or d2 = 2*a4 with d1 a sum of two of the top
-  weights or a_x + a4.  On top of the pattern restriction it prunes by
-  amplitude >= 1, d2 <= min(max_d2, 2*a4), d1 >= a0 + a3, and the
-  four-weight gcd conditions.  The generator, ``_candidates_fast``, is one
-  numpy kernel over a batch of coprime (a0, a1, a2, a3) prefixes of one
-  chunk.  It gives each pattern row of each prefix its a4 range in closed
-  form; a short range is kept whole, and a longer one is pinned by the
-  top-pair closed forms or cut to the residues of a4 that the singleton
-  condition at coordinate 3 (else 2) admits, so the kernel works on
-  arithmetic progressions of a4, not on single values.  Its contract is
-  exactness: for each prefix it returns the set of (a4, d1, d2) those rules
-  give, each once (equal weights repeat rows, and distinct rows meet only
-  at a4 = a3 or in two of the d2 = 2*a4 patterns), and tests pin the sets
-  by hash.  The rules only ever keep supersets of the survivors, and every
-  candidate is still fully re-classified, so they cannot introduce false
-  positives; a plain scanning generator, ``_candidates_reference``, backs
-  the kernel in the differential tests.  A batch holds 128 prefixes and
-  needs under 1 MiB (see ``_BATCH_CELLS``).  The chunk loop filters the
-  candidates cheapest first: as numpy masks, one gcd of a4 with the product
-  of the four three-weight gcds and the linear-cone test; then, one by one,
-  the singleton condition at coordinate 3 and ``del_pezzo_quick``, which
-  tests singletons 4 and 3 last: every pattern meets coordinate 4 by
-  construction, and coordinate 3 was just tested.
+  weights or a_x + a4.  It also prunes by amplitude >= 1, d2 <= max_d2,
+  d1 >= a0 + a3 and the four-weight gcd conditions.  Three lemmas on the
+  conditions of Iano-Fletcher, "Working with weighted complete
+  intersections" (2000), §8, carry this, each for sorted weights and
+  non-cone d1 <= d2 with amplitude >= 1: (i) singleton 4 and pair (3, 4)
+  put (d1, d2) among the fifteen patterns, so d2 <= 2*a4; (ii) all five
+  singletons and all ten pairs give d1 >= a0 + a3; (iii) those and
+  well-formedness give all ten triples, so no triple rejects a candidate
+  that reached them.  The lemmas are checked, not proved, by sweeps of
+  ``tests/test_lemmas.py`` that read only the definitions: all three up to
+  a4 <= 12 in tier-1, and (ii) and (iii) up to a4 <= 22 under WCIDP_SLOW.
+  The generator, ``_candidates_fast``, is one numpy kernel over a batch of
+  coprime (a0, a1, a2, a3) prefixes of one chunk.  It gives each pattern
+  row of each prefix its a4 range in closed form; a short range is kept
+  whole, and a longer one is pinned by the top-pair closed forms or cut to
+  the residues of a4 that the singleton condition at coordinate 3 (else 2)
+  admits, so the kernel works on arithmetic progressions of a4 from a3 up.
+  Equal weights repeat rows and distinct rows meet, so a candidate may come
+  more than once; one sort of a key per candidate drops the repeats.  Its
+  contract is exactness: for each prefix it returns the set of (a4, d1, d2)
+  those rules give, each once, and tests pin the sets by hash.  The rules
+  only ever keep supersets of the survivors, and every candidate is still
+  fully re-classified, so they cannot introduce false positives; a plain
+  scanning generator, ``_candidates_reference``, backs the kernel in the
+  differential tests.  A batch holds 128 prefixes and needs under 1 MiB
+  (see ``_BATCH_CELLS``).  The chunk loop then filters the candidates
+  cheapest first: as numpy masks, the gcd-product and linear-cone tests;
+  then the singleton condition at coordinate 3 and ``del_pezzo_quick``.
 
 Work is cut into one chunk per value of the smallest weight a0, whatever
 the job count; workers share nothing mutable and the merged, sorted result
@@ -142,9 +148,11 @@ class EnumerationResult:
 # Shaped mode charges a weight prefix 2048 cells (4 KiB): its fifteen
 # pattern rows and its candidates, up to about 35 at (40, 80), each held in
 # a few arrays of 8-byte entries.  So a batch of _BATCH_CELLS >> 11 = 128
-# prefixes needs under 1 MiB (a test holds this at (40, 80)).  Batches of
-# 256 prefixes ran the generator about a fifth faster, but left the
-# (40, 80) run about 0.8 MB more resident memory.
+# prefixes needs under 1 MiB: at (40, 80) a chunk peaks at 547 kB (a0 = 1)
+# and 963 kB (a0 = 19, the most candidates a batch) under tracemalloc, and
+# a test holds both under 1 MiB.  Batches of 256 prefixes ran the generator
+# about a fifth faster, but left the (40, 80) run about 0.8 MB more
+# resident memory.
 _BATCH_CELLS = 1 << 18
 
 
@@ -184,21 +192,6 @@ _UNIT_ROWS = np.array([_shape_rows(*e) for e in np.eye(4, dtype=int).tolist()])
 _K1, _K2 = _UNIT_ROWS[0, :, 0], _UNIT_ROWS[0, :, 2]
 _C1, _C2 = _UNIT_ROWS[:, :, 1], _UNIT_ROWS[:, :, 3]
 
-
-def _first_copies(code: int) -> list[bool]:
-    """Which rows repeat no earlier row, for a prefix whose neighbours a_i,
-    a_(i+1) are equal exactly for the bits i set in ``code``."""
-    a = [1]
-    for i in range(3):
-        a.append(a[-1] + (0 if code >> i & 1 else 10 ** i))
-    rows = _shape_rows(*a)
-    return [row not in rows[:r] for r, row in enumerate(rows)]
-
-
-# Equal weights make a row repeat an earlier one.  Rows of equal k1 and k2
-# differ by a single weight in c1 or c2, so in a sorted prefix which rows
-# repeat depends only on which neighbours are equal.
-_FIRST_COPY = np.array([_first_copies(code) for code in range(8)])
 
 # Branch (d) of the pair condition at the two largest coordinates, read from
 # two three-bit masks: bit k of m1 (of m2) says that d1 - a_k (d2 - a_k)
@@ -305,33 +298,27 @@ def _rows(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _progressions(p: np.ndarray, max_a4: int, max_d2: int):
     """The a4 values of every pattern row of the prefixes p, (4, n).
 
-    Returns c1 and c2, (n, 15); the candidates at a4 = a3, as rows (column
-    of p, a4, d1, d2); and above a3, flat arrays (cell, first, step, count)
-    of arithmetic progressions of a4, where the cell j*15 + r names prefix
-    j's row r.  A range of at most ``_SCAN_THRESHOLD`` + 1 values is kept
-    whole; any other is pinned by the top pair (rows with d2 = c2 + a4) or
-    restricted to residues of a4 modulo a3, else modulo a2, else kept
-    whole.
+    Returns c1 and c2, (n, 15), and flat arrays (cell, first, step, count)
+    of arithmetic progressions of a4 that start at a3 or above, where the
+    cell j*15 + r names prefix j's row r.  A range of at most
+    ``_SCAN_THRESHOLD`` + 1 values is kept whole; any other is pinned by the
+    top pair (rows with d2 = c2 + a4) or restricted to residues of a4 modulo
+    a3, else modulo a2, else kept whole.  Rows that equal weights repeat,
+    and rows that meet, give the same candidate more than once.
     """
-    n = p.shape[1]
     a3 = p[3][:, None]
     c1, c2 = p.T @ _C1, p.T @ _C2
     hi = (p.sum(axis=0)[:, None] - 1 - c1 - c2) // (_K1 + _K2 - 1)
     np.minimum(hi, (max_d2 - c2) // _K2, out=hi)
     np.minimum(hi, max_a4, out=hi)
     live = hi >= a3
-    # Equal weights repeat a row; the first copy stands for all of them.
-    live &= _FIRST_COPY[(p[0] == p[1]) + 2 * (p[1] == p[2]) + 4 * (p[2] == p[3])]
     solve = live & (hi - a3 > _SCAN_THRESHOLD)
     whole = live & ~solve
 
-    # The top pair pins the a4 of its rows to values in [a3, 2*a3), each
-    # kept as its residue modulo a3 (hi < 2*a3 there).
-    at_a3 = whole.copy()
+    # The top pair pins the a4 of its rows to values in [a3, 2*a3), each the
+    # one term of a progression of step a3 (hi < 2*a3 there).
     j, r, real = _rows(solve & (_K2 == 1))
     values, free = _top_pair_a4(c1[j, r], c2[j, r], p[:, j])
-    values = np.where(values < 0, -1, values - p[3, j, None])
-    at_a3[j, r] |= ~free & (values == 0).any(axis=1)
     rows = [(j, r, real & ~free, p[3, j], np.concatenate((values, np.full((j.size, 6), -1)), axis=1))]
     # Coordinate 3 restricts a4 unless its condition holds for every a4;
     # coordinate 2 is the fallback, and a range neither restricts is whole.
@@ -343,32 +330,22 @@ def _progressions(p: np.ndarray, max_a4: int, max_d2: int):
         j, r, real = _rows(rest)
         m = p[i, j]
         res, every = _coord_residues(_K1[r], c1[j, r], _K2[r], c2[j, r], p[:, j], m)
-        at_a3[j, r] |= ~every & (res == (p[3, j] % m)[:, None]).any(axis=1)
         rows.append((j, r, real & ~every, m, res))
         rest[:] = False
         rest[j, r] = every
     whole |= rest
-    at_a3 |= rest
     j, r, kept, m, res = map(np.concatenate, zip(*rows))
 
-    # At a4 = a3 every row gives (a_x + a3, a_y + a3), so distinct rows can
-    # meet: one key per pair.
-    radix = 2 * max_a4 + 1
-    key = _distinct(np.where(at_a3, (c1 + _K1 * a3) * radix + c2 + _K2 * a3, -1))
-    jl, rl = np.nonzero(key >= 0)
-    key = key[jl, rl]
-    low = np.stack((jl, p[3, jl], key // radix, key % radix), axis=1)
-
     res = _distinct(res)
-    first = a3[j] + 1 + (res - a3[j] - 1) % m[:, None]
+    first = a3[j] + (res - a3[j]) % m[:, None]
     count = np.where((res >= 0) & kept[:, None], (hi[j, r][:, None] - first) // m[:, None] + 1, 0)
     used = np.flatnonzero(count)
     row = used // 14
-    count_whole = np.where(whole, hi - a3, 0).ravel()
+    count_whole = np.where(whole, hi - a3 + 1, 0).ravel()
     cell = np.flatnonzero(count_whole)
-    return c1, c2, low, *(np.concatenate(x) for x in zip(
+    return c1, c2, *(np.concatenate(x) for x in zip(
         ((j * 15 + r)[row], first.ravel()[used], m[row], count.ravel()[used]),
-        (cell, p[3, cell // 15] + 1, np.ones_like(cell), count_whole[cell])))
+        (cell, p[3, cell // 15], np.ones_like(cell), count_whole[cell])))
 
 
 class _Rows(np.ndarray):
@@ -384,39 +361,31 @@ def _candidates_fast(p: np.ndarray, max_a4: int, max_d2: int) -> _Rows:
     """Shaped-mode candidates for a batch of weight prefixes.
 
     p is a (4, n) array, one (a0, a1, a2, a3) column per prefix.  Returns
-    (m, 4) distinct rows (column of p, a4, d1, d2), for each prefix the set
-    ``_progressions`` describes.
+    (m, 4) distinct rows (column of p, a4, d1, d2), sorted, for each prefix
+    the set ``_progressions`` describes.
     """
-    n = p.shape[1]
-    c1, c2, low, cell, first, step, count = _progressions(p, max_a4, max_d2)
-    # Dummies (cell 0, a4 = 0, never kept) bring the count to a multiple of
-    # 128 (see _rows).
-    total = int(count.sum())
-    count = np.append(count, -total % 128)
-    at = np.repeat(np.arange(count.size), count)
-    a4 = np.arange(at.size) - np.repeat(count.cumsum() - count, count)
-    a4 *= np.append(step, 0)[at]
-    a4 += np.append(first, 0)[at]
-    cell = np.append(cell, 0)[at]
-    j, r = cell // 15, cell % 15
-    d1 = c1.ravel()[cell] + _K1[r] * a4
-    # Above a3, two rows meet only with d2 = 2*a4 and d1 both a_x + a3 (a
-    # row with k1 = 0, at a4 = a3 + a_x - a_y) and a_y + a4 (k1 = 1).  Both
-    # candidates then name the same (prefix, x, y): the first row marks it
-    # in a table, and the second is dropped where it finds the mark.
-    # weight[j, v] is an x < 4 with a_x = v, else 4.
-    weight = np.full((n, max_a4 + 2), 4, dtype=np.int8)
-    weight[np.arange(n), p] = np.arange(4)[:, None]
-    x = weight[j, np.clip(d1 - p[3, j], 0, max_a4 + 1)]
-    y = weight[j, np.clip(d1 - a4, 0, max_a4 + 1)]
-    meet = (r >= 6) & (r <= 13) & (x < 4) & (y < 4)
-    at = (j * 4 + x) * 4 + y
-    # Index 16*n is never marked; 16*n + 1 takes the marks of the rest.
-    table = np.zeros(16 * n + 2, dtype=bool)
-    table[np.where(meet & (_K1[r] == 0), at, 16 * n + 1)] = True
-    keep = np.arange(a4.size) < total
-    keep &= ~table[np.where(meet & (_K1[r] == 1), at, 16 * n)]
-    return np.concatenate((low, np.stack((j, a4, d1, c2.ravel()[cell] + _K2[r] * a4), axis=1)[keep])).view(_Rows)
+    c1, c2, cell, first, step, count = _progressions(p, max_a4, max_d2)
+    # One key per candidate, ((column*(max_a4 + 1) + a4)*b + d1)*b + d2 with
+    # b = 2*max_a4 + 1 > d2 >= d1, so one sort brings repeats together.  The
+    # key is linear in a4, so a progression of a4 gives one of keys.  It fits
+    # in an int64 while n*(max_a4 + 1)*b**2 < 2**63: at 128 prefixes, for
+    # max_a4 up to about 2.6e5.
+    b = 2 * max_a4 + 1
+    r = cell % 15
+    slope = (b + _K1[r]) * b + _K2[r]
+    start = (cell // 15 * (max_a4 + 1) * b + c1.ravel()[cell]) * b + c2.ravel()[cell] + slope * first
+    key = np.arange(count.sum())
+    key -= np.repeat(count.cumsum() - count, count)
+    key *= np.repeat(slope * step, count)
+    key += np.repeat(start, count)
+    key.sort(kind="stable")
+    key = key[np.diff(key, prepend=-1) != 0]
+    rows = np.empty((key.size, 4), dtype=np.int64)
+    for col, radix in ((3, b), (2, b), (1, max_a4 + 1)):
+        rows[:, col] = key % radix
+        key //= radix
+    rows[:, 0] = key
+    return rows.view(_Rows)
 
 
 def _candidates_reference(p: np.ndarray, max_a4: int, max_d2: int) -> np.ndarray:

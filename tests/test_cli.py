@@ -36,6 +36,22 @@ def test_check_linear_cone_is_negative(capsys):
     assert "linear cone" in out
 
 
+def test_check_explain_on_a_linear_cone_evaluates_no_qs_condition(capsys):
+    # f1 and f2 are linear in x0 and x1, so the cone is the smooth
+    # x0 = x1 = 0; the qs conditions assume no linear cone and are no
+    # evidence of a singularity there.
+    code, out, _ = run(capsys, "check", "--explain", "1", "1", "2", "2", "2", "1", "1")
+    assert code == 3
+    assert out.splitlines() == [
+        "rejected: linear cone (degree 1 equals a weight); not well-formed (I=6)",
+        "  wf triple-gcd omitted=[0, 1, 2]: gcd=2",
+        "  wf triple-gcd omitted=[0, 1, 3]: gcd=2",
+        "  wf triple-gcd omitted=[0, 1, 4]: gcd=2",
+        "  wf pair-gcd omitted=[0, 1]: gcd=2",
+        "  linear cone: qs conditions not evaluated",
+    ]
+
+
 def test_check_degenerate_input_is_usage_error(capsys):
     code, _, err = run(capsys, "check", "1", "1", "1", "1", "1", "0", "2")
     assert code == 2

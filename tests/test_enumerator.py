@@ -1,6 +1,7 @@
 """Search modes, degree patterns, chunking, determinism."""
 
 import hashlib
+import os
 import tracemalloc
 from itertools import combinations_with_replacement
 from math import gcd
@@ -188,15 +189,26 @@ def test_fast_candidate_sets_at_30_60_are_pinned():
         682_815, "1fbc54a3bdd7f094bd72b43fcf5dd6db8a998975d19a14efd98855023d665734")
 
 
-def test_fast_candidate_sets_of_the_a0_450_chunk_of_the_full_bound_are_pinned():
-    # The same at the paper's bound (500, 1000), for the 19,132 prefixes of
-    # the chunk a0 = 450: moduli a3 and a2 up to 500 reach top-pair and
-    # residue cases that (30, 60) never does.  Pinned from the per-prefix
-    # generator this kernel replaced.
-    prefixes = coprime_prefixes(500, [450])
-    assert len(prefixes) == 19_132
-    assert pinned_digest(prefixes, 500, 1000) == (
-        471_188, "39e888bb0242de14dc369b4f67ae0bea568866641f2d09a394e7504c1881196e")
+@pytest.mark.parametrize("a0, size, pin", [
+    pytest.param(450, 19_132, (471_188, "39e888bb0242de14dc369b4f67ae0bea568866641f2d09a394e7504c1881196e"),
+                 id="450"),
+    pytest.param(480, 1_399, (46_344, "26f30dcb991607a5baa0ca352bf22f0483103465193bc0500e7cc3ba54d22967"),
+                 id="480"),
+    pytest.param(499, 3, (8, "3d3547f9ef0fd52809851d0a9dadfa30484e49f5a5859e9318b06e23bd7ccb30"), id="499"),
+    pytest.param(420, 75_402, (1_525_917, "d9d59cb8bccfa66efa336691c80246786a1a074c45a47e65b519070dfd8ce800"),
+                 id="420", marks=pytest.mark.skipif(not os.environ.get("WCIDP_SLOW"),
+                                                    reason="the a0 = 420 chunk takes about 6 s; set WCIDP_SLOW=1")),
+])
+def test_fast_candidate_sets_of_full_bound_chunks_are_pinned(a0, size, pin):
+    # The same at the paper's bound (500, 1000), for the chunks a0 = 450,
+    # 480, 499 (the bound's last three prefixes) and 420: moduli a3 and a2
+    # up to 500 reach top-pair and residue cases that (30, 60) never does.
+    # a0 = 450 was pinned from the per-prefix generator the batch kernel
+    # replaced, the others from the batch kernel before one sort dropped
+    # its repeated candidates.
+    prefixes = coprime_prefixes(500, [a0])
+    assert len(prefixes) == size
+    assert pinned_digest(prefixes, 500, 1000) == pin
 
 
 def test_fast_candidate_sets_do_not_depend_on_the_batch():
