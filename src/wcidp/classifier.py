@@ -41,12 +41,13 @@ class WeightSystem:
     a: tuple[int, int, int, int, int]
 
     def __init__(self, a: Iterable[int]):
-        weights = tuple(sorted(a))
+        # Checked before sorting, which raises TypeError on non-integers.
+        weights = tuple(a)
         if len(weights) != 5:
             raise ValueError(f"expected 5 weights, got {len(weights)}")
         if not _positive_ints(weights):
             raise ValueError(f"weights must be positive integers, got {weights}")
-        object.__setattr__(self, "a", weights)
+        object.__setattr__(self, "a", tuple(sorted(weights)))
 
     def __iter__(self):
         return iter(self.a)

@@ -7,13 +7,12 @@ the given bounds whose verdict is del Pezzo:
   with d1 <= d2 and d1 + d2 <= sum(a) - 1 (forced by amplitude >= 1) and
   classifies each.  It exists to cross-validate the shaped mode at small
   bounds without the degree-pattern theorem, and refuses max_a4 > 60 unless
-  explicitly overridden.  It streams the tuples that pass the weight-only
-  single-gcd conditions into batches, which may span the (a0, a1, a2)
-  prefixes of one chunk and are sized by their degree states.  Each degree
-  gets one-byte singleton states per coordinate, and one bitwise AND of the
-  states of d1 and d2 reads the singleton condition.  Coordinate 4 is read first, on the
-  (tuple, d1, d2) grid, because it removes nearly every pair; the grid is
-  built in blocks of whole tuples, so a batch stays under 1 MiB.
+  explicitly overridden.  Its batches of whole tuples are sized by their
+  degree states.  Each degree gets one-byte singleton states per
+  coordinate, and one bitwise AND of the states of d1 and d2 reads the
+  singleton condition.  Coordinate 4 is read first, on the (tuple, d1, d2)
+  grid, because it removes nearly every pair; the grid is built in blocks
+  of whole tuples, so a batch stays under 1 MiB.
   Coordinates 3..0 then filter the joined survivors of the whole batch:
   numpy decides the singleton conditions, the linear cones and amplitude,
   and ``is_well_formed`` and ``del_pezzo_quick`` the rest.
@@ -30,10 +29,10 @@ the given bounds whose verdict is del Pezzo:
   singletons and all ten pairs give d1 >= a0 + a3; (iii) those and
   well-formedness give all ten triples, so no triple rejects a candidate
   that reached them.  The lemmas are checked, not proved, by sweeps of
-  ``tests/test_lemmas.py`` that read only the definitions: all three up to
-  a4 <= 12 in tier-1, and (ii) and (iii) up to a4 <= 22 under WCIDP_SLOW.
+  ``tests/test_lemmas.py`` that read only the definitions: up to a4 <= 12
+  in tier-1, and up to a4 <= 22 under WCIDP_SLOW.
   The generator, ``_candidates_fast``, is one numpy kernel over a batch of
-  coprime (a0, a1, a2, a3) prefixes of one chunk.  It gives each pattern
+  (a0, a1, a2, a3) prefixes of one chunk.  It gives each pattern
   row of each prefix its a4 range in closed form; a short range is kept
   whole, and a longer one is pinned by the top-pair closed forms or cut to
   the residues of a4 that the singleton condition at coordinate 3 (else 2)
@@ -51,11 +50,15 @@ the given bounds whose verdict is del Pezzo:
   then the singleton condition at coordinate 3 and ``del_pezzo_quick``.
 
 Work is cut into one chunk per value of the smallest weight a0, whatever
-the job count; workers share nothing mutable and the merged, sorted result
-is identical for every job count.  ``multiprocessing`` is imported only when
-a run starts more than one worker.  The search ends there: which solutions
-are series instances is asked of ``families``, which is imported only when
-``EnumerationResult.sporadic`` or ``.family_instances`` is first read.
+the job count.  One stream, ``_sorted_tuples``, cuts a chunk into batches
+for both modes: its sorted weight tuples whose four-weight subsets are
+coprime, in lexicographic order, as (a0, a1, a2, a3) prefixes for shaped
+mode and as whole tuples for exhaustive mode.  Workers share nothing
+mutable and the merged, sorted result is identical for every job count.
+``multiprocessing`` is imported only when a run starts more than one worker.
+The search ends there: which solutions are series instances is asked of
+``families``, which is imported only when ``EnumerationResult.sporadic`` or
+``.family_instances`` is first read.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ from __future__ import annotations
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cache, cached_property
-from math import gcd
+from itertools import chain, combinations_with_replacement
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
@@ -130,7 +133,9 @@ class EnumerationResult:
                      if c.key in self._instances)
 
 
-# The memory budget of both kernels, in cells of two bytes.
+# The memory budget of both kernels, in cells of two bytes.  Both take
+# their batches from ``_sorted_tuples``, every batch of a chunk but its last
+# of the size below.
 #
 # Exhaustive mode cuts a batch of weight tuples so that its degree states
 # need at most this many cells: 32 for each degree of each tuple, with
@@ -154,6 +159,50 @@ class EnumerationResult:
 # about a fifth faster, but left the (40, 80) run about 0.8 MB more
 # resident memory.
 _BATCH_CELLS = 1 << 18
+
+
+# ---------------------------------------------------------------------------
+# the weight tuples of a chunk, for both modes
+
+# The four-weight subsets, whose gcds must be 1: the weight-only gcd
+# conditions.
+_QUADRUPLES = [kept for kind, kept, _ in _GCD_CONDITIONS if kind == SINGLE_GCD]
+
+
+@cache
+def _sorted_tails(max_a4: int, width: int) -> np.ndarray:
+    """Every sorted (a2, ..., a_{width-1}) with entries in 1..max_a4, one
+    column each in lexicographic order: a (width - 2, n) array, built once
+    per bound and width."""
+    tails = np.fromiter(chain.from_iterable(combinations_with_replacement(range(1, max_a4 + 1), width - 2)),
+                        dtype=np.min_scalar_type(max_a4)).reshape(-1, width - 2).T.copy()
+    tails.flags.writeable = False
+    return tails
+
+
+def _sorted_tuples(max_a4: int, a0: int, width: int, size: int) -> Iterator[np.ndarray]:
+    """The sorted weight tuples (a0, a1, ...) of ``width`` entries up to
+    max_a4 whose four-weight subsets within ``width`` are coprime, in
+    lexicographic order, as (width, m) arrays of ``size`` columns (the last
+    may hold fewer).  A batch may span values of a1.  The tuples are built
+    and filtered in pieces of at most ``size``, so that, beside the cached
+    table, the stream holds under two batches."""
+    tails = _sorted_tails(max_a4, width)
+    quadruples = np.array([kept for kept in _QUADRUPLES if kept[3] < width], dtype=np.intp).reshape(-1, 4)
+    held = np.empty((width, 0), dtype=np.int64)
+    for a1 in range(a0, max_a4 + 1):
+        # The sorted tails with a2 >= a1 are a suffix of the table.
+        for cut in range(np.searchsorted(tails[0], a1), tails.shape[1], size):
+            tail = tails[:, cut:cut + size]
+            w = np.empty((width, tail.shape[1]), dtype=np.int64)
+            w[:2] = [[a0], [a1]]
+            w[2:] = tail
+            held = np.concatenate((held, w[:, (np.gcd.reduce(w[quadruples], axis=1) == 1).all(axis=0)]), axis=1)
+            if held.shape[1] >= size:
+                yield held[:, :size]
+                held = held[:, size:]
+    if held.shape[1]:
+        yield held
 
 
 # ---------------------------------------------------------------------------
@@ -404,36 +453,20 @@ def _candidates_reference(p: np.ndarray, max_a4: int, max_d2: int) -> np.ndarray
     return np.array(cands, dtype=np.int64).reshape(-1, 4)
 
 
-def _shaped_prefixes(max_a4: int, a0: int, size: int) -> Iterator[np.ndarray]:
-    """The coprime weight prefixes (a0, a1, a2, a3) of one chunk in
-    lexicographic order, as (4, m) arrays of ``size`` columns (the last may
-    hold fewer); a batch may span values of a1.  Each a1 builds all its
-    (a2, a3) pairs at once, up to 125,250 of them at max_a4 = 500."""
-    held = np.empty((4, 0), dtype=np.int64)
-    for a1 in range(a0, max_a4 + 1):
-        a2, a3 = np.triu_indices(max_a4 + 1 - a1)
-        p = np.stack((np.full_like(a2, a0), np.full_like(a2, a1), a2 + a1, a3 + a1))
-        held = np.concatenate((held, p[:, np.gcd(gcd(a0, a1), np.gcd(p[2], p[3])) == 1]), axis=1)
-        while held.shape[1] >= size:
-            yield held[:, :size]
-            held = held[:, size:]
-    if held.shape[1]:
-        yield held
-
-
 def _solve_shaped_chunk(max_a4: int, max_d2: int, a0: int,
                         generator: Callable) -> list[tuple[int, ...]]:
     sols = []
     size = max(1, _BATCH_CELLS >> 11)
-    for p in _shaped_prefixes(max_a4, a0, size):
+    # The three weights of the prefix that each four-weight subset with a4
+    # keeps.
+    tops = [kept[:3] for kept in _QUADRUPLES if kept[3] == 4]
+    for p in _sorted_tuples(max_a4, a0, 4, size):
         # A short batch is filled up with prefixes beyond the box, which
         # have no candidates, so that every batch has one size (see _rows).
         p = np.concatenate((p, np.full((4, size - p.shape[1]), max_a4 + 1)), axis=1)
-        g01 = np.gcd(p[0], p[1])
-        g012 = np.gcd(g01, p[2])
-        # a4 shares a prime with one of the four three-weight gcds exactly
-        # when it shares one with their product.
-        g_prod = g012 * np.gcd(g01, p[3]) * np.gcd(np.gcd(p[0], p[2]), p[3]) * np.gcd(np.gcd(p[1], p[2]), p[3])
+        # a4 shares a prime with one of the three-weight gcds exactly when it
+        # shares one with their product.
+        g_prod = np.gcd.reduce(p[tops], axis=1).prod(axis=0)
         cands = generator(p, max_a4, max_d2)
         # Every pattern has d2 > a4 and d1 >= a0 + a3 > a3, so the one linear
         # cone left to rule out is d1 = a4.  Rows of zeros, which it rules
@@ -453,10 +486,6 @@ def _solve_shaped_chunk(max_a4: int, max_d2: int, a0: int,
 # exhaustive mode
 
 _HIT_BITS = (1 << np.arange(5)).astype(np.uint8)
-
-# The four-weight subsets, whose gcds must be 1: the weight-only gcd
-# conditions.
-_QUADRUPLES = [kept for kind, kept, _ in _GCD_CONDITIONS if kind == SINGLE_GCD]
 
 
 @cache
@@ -560,47 +589,15 @@ def _exhaustive_tuple_solutions(w: np.ndarray, max_d2: int) -> list[tuple[int, .
     return sols
 
 
-@cache
-def _weight_triples(max_a4: int) -> np.ndarray:
-    """Every sorted (a2, a3, a4) with entries in 1..max_a4, one column each in
-    lexicographic order: a (3, n) array, built once per bound."""
-    a = np.arange(1, max_a4 + 1, dtype=np.min_scalar_type(max_a4))
-    triples = a[np.array(np.nonzero((a[:, None, None] <= a[:, None]) & (a[:, None] <= a)))]
-    triples.flags.writeable = False
-    return triples
-
-
-def _prefix_tuples(max_a4: int, a0: int, size: int) -> Iterator[np.ndarray]:
-    """The weight tuples with smallest weight a0 whose four-weight subsets
-    are coprime, in lexicographic order, as (5, m) arrays, each cut from at
-    most ``size`` sorted tuples."""
-    triples = _weight_triples(max_a4)
-    for a1 in range(a0, max_a4 + 1):
-        # The sorted triples with a2 >= a1 are a suffix of the table.
-        for cut in range(np.searchsorted(triples[0], a1), triples.shape[1], size):
-            tail = triples[:, cut:cut + size]
-            w = np.empty((5, tail.shape[1]), dtype=np.int64)
-            w[:2] = [[a0], [a1]]
-            w[2:] = tail
-            yield w[:, (np.gcd.reduce(w[_QUADRUPLES], axis=1) == 1).all(axis=0)]
-
-
 def _solve_exhaustive_chunk(max_a4: int, max_d2: int, a0: int) -> list[tuple[int, ...]]:
     # No admissible degree exceeds the largest sum(w) - 2.  Every tuple is
     # charged the degree states of that largest box, so ``step`` tuples stay
-    # within _BATCH_CELLS whatever their a1; what one piece leaves over is
-    # carried into the next batch.
+    # within _BATCH_CELLS whatever their a1.
     side = min(max_d2, 5 * max_a4 - 2)
     step = max(1, _BATCH_CELLS // (32 * (side + 1)))
     sols = []
-    held = np.empty((5, 0), dtype=np.int64)
-    for w in _prefix_tuples(max_a4, a0, step):
-        held = np.concatenate((held, w), axis=1)
-        while held.shape[1] >= step:
-            sols.extend(_exhaustive_tuple_solutions(held[:, :step], side))
-            held = held[:, step:]
-    if held.shape[1]:
-        sols.extend(_exhaustive_tuple_solutions(held, side))
+    for w in _sorted_tuples(max_a4, a0, 5, step):
+        sols.extend(_exhaustive_tuple_solutions(w, side))
     return sols
 
 

@@ -91,6 +91,12 @@ def test_degenerate_inputs_are_constructor_errors():
         Candidate((1, 1, 1, 1, 1), True, 2)
     with pytest.raises(ValueError):
         WeightSystem((1, 1, 1, 1, True))
+    # Values that are not integers are refused before sorting could raise
+    # TypeError on them.
+    with pytest.raises(ValueError):
+        WeightSystem([1, 2, 3, 4, "5"])
+    with pytest.raises(ValueError):
+        WeightSystem([1, 2, 3, 4, None])
 
 
 def test_weight_system_is_iterable_and_indexable():

@@ -3,7 +3,7 @@
 import hashlib
 import os
 import tracemalloc
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from math import gcd
 
 import numpy as np
@@ -17,13 +17,12 @@ from wcidp.enumerator import (
     _candidates_reference,
     _coord_residues,
     _exhaustive_tuple_solutions,
-    _prefix_tuples,
     _shape_rows,
-    _shaped_prefixes,
     _singleton_states,
     _solve_chunk,
     _solve_exhaustive_chunk,
     _solve_shaped_chunk,
+    _sorted_tuples,
     _top_pair_a4,
     degree_shapes,
     enumerate_solutions,
@@ -38,7 +37,7 @@ def keys(result):
 
 def prefix_batch(prefix, max_a4):
     """The coprime weight tuples of one (a0, a1, a2) prefix, as a (5, n) array."""
-    w = np.concatenate(list(_prefix_tuples(max_a4, prefix[0], 7)), axis=1)
+    w = np.concatenate(list(_sorted_tuples(max_a4, prefix[0], 5, 7)), axis=1)
     return w[:, (w[1] == prefix[1]) & (w[2] == prefix[2])]
 
 
@@ -220,14 +219,6 @@ def test_fast_candidate_sets_do_not_depend_on_the_batch():
     assert all(len(s) == len(set(s)) for s in whole)
     for batch in (1, 3, 64):
         assert candidate_sets(prefixes, 24, 48, batch=batch) == whole, batch
-
-
-def test_shaped_prefixes_stream_every_coprime_prefix_in_order():
-    for size in (1, 5, 1000):
-        for a0 in (1, 4, 9):
-            pieces = list(_shaped_prefixes(9, a0, size))
-            assert all(p.shape[1] == size for p in pieces[:-1])
-            assert [tuple(c) for p in pieces for c in p.T.tolist()] == coprime_prefixes(9, [a0])
 
 
 def test_top_pair_a4_drops_no_a4_the_pair_condition_admits():
@@ -419,14 +410,20 @@ def test_exhaustive_batches_split_freely(monkeypatch):
                             + _exhaustive_tuple_solutions(second, max_d2)), cells
 
 
-def test_prefix_tuples_stream_every_coprime_tuple_in_order():
+@pytest.mark.parametrize("width", [3, 4, 5])
+def test_sorted_tuples_stream_every_coprime_tuple_in_order(width):
+    # Shaped mode streams the (a0, a1, a2, a3) prefixes, exhaustive mode the
+    # whole tuples, and (a0, a1, a2) has no four weights to be coprime:
+    # every batch but the last is full, and the batches join to the sorted
+    # tuples whose four-weight subsets are coprime.
     max_a4 = 9
-    coprime = [w for w in combinations_with_replacement(range(1, max_a4 + 1), 5)
-               if all(gcd(*(w[k] for k in range(5) if k != j)) == 1 for j in range(5))]
+    coprime = [w for w in combinations_with_replacement(range(1, max_a4 + 1), width)
+               if all(gcd(*q) == 1 for q in combinations(w, 4))]
     for size in (1, 5, 1000):
         for a0 in range(1, max_a4 + 1):
-            pieces = list(_prefix_tuples(max_a4, a0, size))
-            assert all(p.shape[1] <= size for p in pieces)
+            pieces = list(_sorted_tuples(max_a4, a0, width, size))
+            assert all(p.shape[1] == size for p in pieces[:-1]), (size, a0)
+            assert all(0 < p.shape[1] <= size and p.dtype == np.int64 for p in pieces), (size, a0)
             got = [tuple(c) for p in pieces for c in p.T.tolist()]
             assert got == [w for w in coprime if w[0] == a0], (size, a0)
 
@@ -509,37 +506,46 @@ def test_stage_counts_at_20_40_are_pinned(monkeypatch):
     # Each stage of the shaped chunk loop is reached through a module
     # attribute; wrapping them counts what every stage receives and passes.
     # A change to the generator or to the filter chain that moves any of
-    # these counts changes which candidates the search examines.
+    # these counts changes which candidates the search examines.  For the
+    # two kernels, which take a batch of prefixes or tuples, the counts
+    # also hold how many columns they were handed: a change to how the
+    # weight tuples are cut into batches moves those.
     counts = {}
 
-    def count(module, name, size=len):
+    def count(module, name, size=len, batch=False):
         original = getattr(module, name)
-        seen = counts[name] = [0, 0]
+        seen = counts[name] = [0, 0, 0] if batch else [0, 0]
 
         def wrapper(*args):
             result = original(*args)
             seen[0] += 1
             seen[1] += size(result)
+            if batch:
+                seen[2] += args[0].shape[1]
             return result
 
         monkeypatch.setattr(module, name, wrapper)
 
-    count(enumerator, "_candidates_fast")
+    count(enumerator, "_candidates_fast", batch=True)
     count(enumerator, "_singleton_ok", size=bool)
     count(enumerator, "del_pezzo_quick", size=bool)
     count(classifier, "is_well_formed", size=bool)
     res = enumerate_solutions(Bounds(20, 40), jobs=1)
     assert len(res.solutions) == 183
     assert counts["_candidates_fast"][1] == 126_078
+    # 73 batches of 128 prefixes, the short ones filled up beyond the box.
+    assert counts["_candidates_fast"][::2] == [73, 9_344]
     assert counts["_singleton_ok"] == [101_519, 34_580]
     assert counts["del_pezzo_quick"] == [34_580, 183]
     assert counts["is_well_formed"] == [2_935, 295]
     # The exhaustive kernel hands del_pezzo_quick only the well-formed
     # pairs that meet every singleton condition.
     counts["del_pezzo_quick"][:] = [0, 0]
+    count(enumerator, "_exhaustive_tuple_solutions", batch=True)
     exhaustive = enumerate_solutions(Bounds(20, 40), mode="exhaustive", jobs=1)
     assert keys(exhaustive) == keys(res)
     assert counts["del_pezzo_quick"] == [777, 183]
+    assert counts["_exhaustive_tuple_solutions"] == [169, 183, 31_254]
 
 
 def test_every_degree_pattern_meets_the_top_singleton():

@@ -21,6 +21,7 @@ import random
 from itertools import combinations, combinations_with_replacement
 
 import pytest
+from definition import qs_failures
 
 from wcidp.classifier import Candidate
 from wcidp.quasismooth import check_qs
@@ -95,11 +96,22 @@ def oracle(a, d1, d2, expected):
     ((2, 3, 3, 4, 4), 7, 8, False),
     # Pair (2, 3), branch (d): a4 = 4 shifts neither degree into <3, 3>.
     ((2, 2, 3, 3, 4), 5, 8, False),
+    # Singleton 2: a2 = 4 divides neither degree, and no a_f == 2 (mod 4)
+    # shifts d2 = 10 onto a multiple of 4.
+    ((3, 3, 4, 5, 5), 9, 10, False),
+    # Singleton 3: a3 = 4 divides neither degree, and only a0 shifts either
+    # degree onto a multiple of 4; the shifts must differ.
+    ((2, 3, 3, 4, 5), 6, 10, False),
 ])
 def test_check_qs_agrees_with_the_groebner_oracle(a, d1, d2, quasi_smooth):
-    passed = check_qs(Candidate(a, d1, d2)).passed
-    assert passed == quasi_smooth
-    assert oracle(a, d1, d2, passed) == passed
+    report = check_qs(Candidate(a, d1, d2))
+    assert report.passed == quasi_smooth
+    # A row that is not quasi-smooth fails one condition only, the one the
+    # definition names too.
+    violations = [(v.level, v.indices) for v in report.violations]
+    assert len(violations) == (not quasi_smooth)
+    assert violations == qs_failures(a, d1, d2)
+    assert oracle(a, d1, d2, report.passed) == report.passed
 
 
 @pytest.mark.skipif(
