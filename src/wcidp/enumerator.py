@@ -46,8 +46,10 @@ the given bounds whose verdict is del Pezzo:
   scanning generator, ``_candidates_reference``, backs the kernel in the
   differential tests.  A batch holds 128 prefixes and needs under 1 MiB
   (see ``_BATCH_CELLS``).  The chunk loop then filters the candidates
-  cheapest first: as numpy masks, the gcd-product and linear-cone tests;
-  then the singleton condition at coordinate 3 and ``del_pezzo_quick``.
+  cheapest first: as numpy masks over the batch, compressed once, the
+  gcd-product and linear-cone tests and the singleton conditions at
+  coordinates 0, 1 and 2 (``_prefix_singletons``); then, one survivor at a
+  time, the singleton condition at coordinate 3 and ``del_pezzo_quick``.
 
 Work is cut into one chunk per value of the smallest weight a0, whatever
 the job count.  One stream, ``_sorted_tuples``, cuts a chunk into batches
@@ -151,13 +153,15 @@ class EnumerationResult:
 # the memory.
 #
 # Shaped mode charges a weight prefix 2048 cells (4 KiB): its fifteen
-# pattern rows and its candidates, up to about 35 at (40, 80), each held in
+# pattern rows and its candidates, up to about 40 at (40, 80), each held in
 # a few arrays of 8-byte entries.  So a batch of _BATCH_CELLS >> 11 = 128
-# prefixes needs under 1 MiB: at (40, 80) a chunk peaks at 547 kB (a0 = 1)
-# and 963 kB (a0 = 19, the most candidates a batch) under tracemalloc, and
-# a test holds both under 1 MiB.  Batches of 256 prefixes ran the generator
-# about a fifth faster, but left the (40, 80) run about 0.8 MB more
-# resident memory.
+# prefixes needs under 1 MiB.  At (40, 80), under tracemalloc, a chunk
+# peaks at 514 kB (a0 = 1) and at most 961 kB (a0 = 22); the batch with
+# the most candidates, 5,144, is in a0 = 24.  The peak is the generator's,
+# as the chunk loop keeps its candidates as int32 columns.  A test holds
+# a0 = 1 and 17..24 under 1 MiB.  Batches of 256 prefixes ran the
+# generator about a fifth faster, but left the (40, 80) run about 0.8 MB
+# more resident memory.
 _BATCH_CELLS = 1 << 18
 
 
@@ -453,6 +457,53 @@ def _candidates_reference(p: np.ndarray, max_a4: int, max_d2: int) -> np.ndarray
     return np.array(cands, dtype=np.int64).reshape(-1, 4)
 
 
+# The singleton condition at one coordinate i, read from the hits of d1 and
+# d2: bit e < 5 of a hit byte says that d - a_e is a non-negative multiple
+# of a_i, and bit 5 that a_i divides d.  _SINGLETON_OK[h1, h2] holds when a_i
+# divides d1 or d2, or some e != f has a hit e at d1 and a hit f at d2.
+_SINGLETON_OK = np.array([
+    [bool((h1 | h2) & 32) or any(h1 >> e & h2 >> f & 1 for e in range(5) for f in range(5) if e != f)
+     for h2 in range(64)] for h1 in range(64)
+])
+_HIT_BITS = (1 << np.arange(5)).astype(np.uint8)
+
+
+def _prefix_singletons(p: np.ndarray, c: np.ndarray, keep: np.ndarray,
+                       coords: Sequence[int]) -> np.ndarray:
+    """keep, narrowed in place to the candidates that meet the singleton
+    conditions at the prefix coordinates ``coords``.
+
+    p is a (4, n) batch of prefixes, c the int32 (4, m) candidate columns
+    (column of p, a4, d1, d2) and keep a boolean (m,) mask.  One table per
+    batch and coordinate holds the hits of each residue class of a_i, so a
+    candidate needs d1, d2 and a4 modulo a_i and two reads of it.  Of the
+    a_e <= d tests only a4 <= d1 is made: shaped candidates have
+    d1 >= a0 + a3 > a3 and d2 > a4.  Elsewhere the mask may keep a
+    candidate the condition rejects, but never drops one it admits."""
+    j, a4, d1, d2 = c
+    m = p[list(coords)].astype(np.int32)
+    n, span = p.shape[1], int(m.max())
+    # table[k, j, r] has bit e when a_e == r (mod m[k, j]) for e < 4, and
+    # bit 5 at r = 0.
+    table = np.zeros((len(coords), n, span), dtype=np.uint8)
+    table[:, :, 0] = 32
+    coord, col = np.ogrid[:len(coords), :n]
+    for e in range(4):
+        table[coord, col, p[e] % m] |= _HIT_BITS[e]
+    at = j * span
+    a4_hit = np.where(a4 <= d1, np.uint8(16), np.uint8(0))
+    for k in range(len(coords)):
+        mk = m[k][j]
+        ra = a4 % mk
+        r1, r2 = d1 % mk, d2 % mk
+        h1 = table[k].ravel()[at + r1]
+        h1 |= (r1 == ra) * a4_hit
+        h2 = table[k].ravel()[at + r2]
+        h2 |= (r2 == ra).view(np.uint8) << 4
+        keep &= _SINGLETON_OK[h1, h2]
+    return keep
+
+
 def _solve_shaped_chunk(max_a4: int, max_d2: int, a0: int,
                         generator: Callable) -> list[tuple[int, ...]]:
     sols = []
@@ -468,14 +519,19 @@ def _solve_shaped_chunk(max_a4: int, max_d2: int, a0: int,
         # shares one with their product.
         g_prod = np.gcd.reduce(p[tops], axis=1).prod(axis=0)
         cands = generator(p, max_a4, max_d2)
+        # The candidates as int32 columns, with columns of zeros, which the
+        # linear-cone test rules out, to make the count a multiple of 128
+        # (see _rows).
+        c = np.zeros((4, -(-len(cands) // 128) * 128), dtype=np.int32)
+        c[:, :len(cands)] = cands.T
+        del cands
+        j, a4, d1, _ = c
         # Every pattern has d2 > a4 and d1 >= a0 + a3 > a3, so the one linear
-        # cone left to rule out is d1 = a4.  Rows of zeros, which it rules
-        # out, make the count a multiple of 128 (see _rows).
-        cands = np.concatenate((cands, np.zeros((-len(cands) % 128, 4), dtype=cands.dtype)))
-        j, a4 = cands[:, 0], cands[:, 1]
-        cands = cands[(np.gcd(g_prod[j], a4) == 1) & (cands[:, 2] != a4)]
+        # cone left to rule out is d1 = a4.
+        keep = np.gcd(g_prod[j], a4) == 1
+        keep &= d1 != a4
         prefixes = list(map(tuple, p.T.tolist()))
-        for j, a4, d1, d2 in zip(*cands.T.tolist()):
+        for j, a4, d1, d2 in zip(*c[:, _prefix_singletons(p, c, keep, (0, 1, 2))].tolist()):
             w = prefixes[j] + (a4,)
             if _singleton_ok(w, d1, d2, 3) and del_pezzo_quick(w, d1, d2):
                 sols.append((*w, d1, d2))
@@ -484,9 +540,6 @@ def _solve_shaped_chunk(max_a4: int, max_d2: int, a0: int,
 
 # ---------------------------------------------------------------------------
 # exhaustive mode
-
-_HIT_BITS = (1 << np.arange(5)).astype(np.uint8)
-
 
 @cache
 def _degree_tables(max_d2: int) -> tuple[np.ndarray, np.ndarray]:

@@ -51,7 +51,9 @@ _TRIPLE_REST = {s: tuple(k for k in range(5) if k not in s) for s in _TRIPLES}
 # Singletons 4 and 3 go last: every degree pattern of the shaped search meets
 # index 4 by construction (a4 divides d2 = 2*a4, and (d1, d2) = (a_x + a4,
 # a_y + a4) with x != y pairs the shifts a_x and a_y), and the shaped chunk
-# loop tests index 3 itself before calling ``del_pezzo_quick``.
+# loop tests index 3 itself before calling ``del_pezzo_quick``.  That loop
+# has tested indices 0, 1 and 2 before, as numpy masks, so on its survivors
+# every singleton here holds, as it does on the exhaustive kernel's.
 _SINGLE_ORDER = (2, 1, 0, 4, 3)
 _PAIR_ORDER = ((3, 4), (2, 4), (2, 3), (1, 4), (1, 3), (0, 4), (0, 3), (1, 2), (0, 2), (0, 1))
 _TRIPLE_ORDER = (

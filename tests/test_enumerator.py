@@ -17,6 +17,7 @@ from wcidp.enumerator import (
     _candidates_reference,
     _coord_residues,
     _exhaustive_tuple_solutions,
+    _prefix_singletons,
     _shape_rows,
     _singleton_states,
     _solve_chunk,
@@ -472,12 +473,28 @@ def test_exhaustive_chunk_memory_stays_within_the_stated_budget():
     assert peak <= 1 << 20, peak
 
 
+def test_prefix_singleton_masks_equal_the_predicate_on_every_30_60_candidate():
+    # On the generator's candidates, where d1 >= a0 + a3 and d2 > a4, the
+    # masks skip no test that matters: each equals the predicate.
+    for a0 in range(1, 31):
+        for p in _sorted_tuples(30, a0, 4, 128):
+            cands = _candidates_fast(p, 30, 60)
+            c = cands.T.astype(np.int32)
+            rows = cands.tolist()
+            prefixes = list(map(tuple, p.T.tolist()))
+            for i in (0, 1, 2):
+                mask = _prefix_singletons(p, c, np.ones(len(rows), dtype=bool), (i,)).tolist()
+                expected = [_singleton_ok(prefixes[j] + (a4,), d1, d2, i) for j, a4, d1, d2 in rows]
+                assert mask == expected, (a0, i)
+
+
 def test_shaped_chunk_memory_stays_within_the_stated_budget():
     # The comment on _BATCH_CELLS promises that a shaped batch, kernel and
     # filter, needs under 1 MiB at (40, 80).  Measured on the largest chunk,
-    # a0 = 1, and on a0 = 19, whose batches hold the most candidates.  The
-    # first runs fill the membership caches, which are not the batch's.
-    for a0 in (1, 19):
+    # a0 = 1, and on a0 = 17..24: a0 = 24 holds the batch with the most
+    # candidates and a0 = 22 peaks highest.  The first runs fill the
+    # membership caches, which are not the batch's.
+    for a0 in (1, *range(17, 25)):
         _solve_shaped_chunk(40, 80, a0, _candidates_fast)
         tracemalloc.start()
         try:
@@ -527,6 +544,18 @@ def test_stage_counts_at_20_40_are_pinned(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     count(enumerator, "_candidates_fast", batch=True)
+    # The prefix-singleton masks narrow the mask of the candidates still in
+    # play: count how many it held before and after.
+    singletons = enumerator._prefix_singletons
+    masked = counts["_prefix_singletons"] = [0, 0]
+
+    def narrowed(p, c, keep, coords):
+        masked[0] += int(keep.sum())
+        keep = singletons(p, c, keep, coords)
+        masked[1] += int(keep.sum())
+        return keep
+
+    monkeypatch.setattr(enumerator, "_prefix_singletons", narrowed)
     count(enumerator, "_singleton_ok", size=bool)
     count(enumerator, "del_pezzo_quick", size=bool)
     count(classifier, "is_well_formed", size=bool)
@@ -535,8 +564,9 @@ def test_stage_counts_at_20_40_are_pinned(monkeypatch):
     assert counts["_candidates_fast"][1] == 126_078
     # 73 batches of 128 prefixes, the short ones filled up beyond the box.
     assert counts["_candidates_fast"][::2] == [73, 9_344]
-    assert counts["_singleton_ok"] == [101_519, 34_580]
-    assert counts["del_pezzo_quick"] == [34_580, 183]
+    assert counts["_prefix_singletons"] == [101_519, 7_048]
+    assert counts["_singleton_ok"] == [7_048, 2_935]
+    assert counts["del_pezzo_quick"] == [2_935, 183]
     assert counts["is_well_formed"] == [2_935, 295]
     # The exhaustive kernel hands del_pezzo_quick only the well-formed
     # pairs that meet every singleton condition.
