@@ -32,30 +32,33 @@ the given bounds whose verdict is del Pezzo:
   ``tests/test_lemmas.py`` that read only the definitions: up to a4 <= 12
   in tier-1, and up to a4 <= 22 under WCIDP_SLOW.
   The generator, ``_candidates_fast``, is one numpy kernel over a batch of
-  (a0, a1, a2, a3) prefixes of one chunk.  It gives each pattern
-  row of each prefix its a4 range in closed form; a short range is kept
-  whole, and a longer one is pinned by the top-pair closed forms or cut to
-  the residues of a4 that the singleton condition at coordinate 3 (else 2)
-  admits, so the kernel works on arithmetic progressions of a4 from a3 up.
-  Equal weights repeat rows and distinct rows meet, so a candidate may come
-  more than once; one sort of a key per candidate drops the repeats.  Its
-  contract is exactness: for each prefix it returns the set of (a4, d1, d2)
-  those rules give, each once, and tests pin the sets by hash.  The rules
-  only ever keep supersets of the survivors, and every candidate is still
-  fully re-classified, so they cannot introduce false positives; a plain
-  scanning generator, ``_candidates_reference``, backs the kernel in the
-  differential tests.  A batch holds 128 prefixes and needs under 1 MiB
-  (see ``_BATCH_CELLS``).  The chunk loop then filters the candidates
-  cheapest first: as numpy masks over the batch, compressed once, the
-  gcd-product and linear-cone tests and the singleton conditions at
-  coordinates 0, 1 and 2 (``_prefix_singletons``); then, one survivor at a
-  time, the singleton condition at coordinate 3 and ``del_pezzo_quick``.
+  (a0, a1, a2) weight triples of one chunk.  In each pattern row d1 and d2
+  are linear in (a3, a4), and modulo a3 the singleton condition at
+  coordinate 3 needs one of five atoms "a3 divides P + k*a4", with P fixed
+  by the triple: a3 divides d1, d2, or a shift d - a_e of one degree.  An
+  atom with k >= 1 is a family of lines on which a4 is affine in a3, and
+  the box, amplitude >= 1 and d2 <= max_d2 cut each line to one interval
+  of a3; the one atom with k = 0 that matters keeps whole columns of a4.  So no residue
+  system is solved per (a0, a1, a2, a3) prefix.  The atoms keep a superset
+  of the condition, and every candidate is still fully re-classified, so
+  they cannot introduce false positives.  A plain scanning generator,
+  ``_candidates_reference``, backs the kernel in the differential tests:
+  every candidate it gives that meets singleton 3 must be among the
+  kernel's points, and tests pin those points by hash.  The kernel returns
+  runs of points, which the chunk loop expands in slices of at most 4096
+  points and filters cheapest first, as numpy masks: the linear cone
+  d1 = a4, the singleton conditions at coordinates 0, 1 and 2
+  (``_prefix_singletons``), then the four-weight gcd conditions on the few
+  survivors.  A point comes once for each atom and row that hold it, and
+  one set drops the repeats.  Then, one survivor at a time, the singleton
+  condition at coordinate 3 and ``del_pezzo_quick`` decide.  A batch holds
+  32 triples and needs under 1 MiB (see ``_BATCH_CELLS``).
 
 Work is cut into one chunk per value of the smallest weight a0, whatever
 the job count.  One stream, ``_sorted_tuples``, cuts a chunk into batches
 for both modes: its sorted weight tuples whose four-weight subsets are
-coprime, in lexicographic order, as (a0, a1, a2, a3) prefixes for shaped
-mode and as whole tuples for exhaustive mode.  Workers share nothing
+coprime, in lexicographic order, as (a0, a1, a2) triples for shaped mode
+and as whole tuples for exhaustive mode.  Workers share nothing
 mutable and the merged, sorted result is identical for every job count.
 ``multiprocessing`` is imported only when a run starts more than one worker.
 The search ends there: which solutions are series instances is asked of
@@ -68,7 +71,8 @@ from __future__ import annotations
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import chain, combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement
+from math import gcd
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
@@ -152,16 +156,16 @@ class EnumerationResult:
 # (20, 40); at (30, 60) 2^20 ran about 15 % faster, but needs four times
 # the memory.
 #
-# Shaped mode charges a weight prefix 2048 cells (4 KiB): its fifteen
-# pattern rows and its candidates, up to about 40 at (40, 80), each held in
-# a few arrays of 8-byte entries.  So a batch of _BATCH_CELLS >> 11 = 128
-# prefixes needs under 1 MiB.  At (40, 80), under tracemalloc, a chunk
-# peaks at 514 kB (a0 = 1) and at most 961 kB (a0 = 22); the batch with
-# the most candidates, 5,144, is in a0 = 24.  The peak is the generator's,
-# as the chunk loop keeps its candidates as int32 columns.  A test holds
-# a0 = 1 and 17..24 under 1 MiB.  Batches of 256 prefixes ran the
-# generator about a fifth faster, but left the (40, 80) run about 0.8 MB
-# more resident memory.
+# Shaped mode charges a weight triple 8192 cells (16 KiB): the atoms of its
+# fifteen pattern rows, their lines and the runs of points on them, each
+# held in a dozen arrays of 4-byte entries.  So a batch of
+# _BATCH_CELLS >> 13 = 32 triples, expanded in slices of
+# _BATCH_CELLS >> 6 = 4096 points (64 cells a point: five int32
+# coordinates and the masks' temporaries), needs under 1 MiB.  At (40, 80),
+# under tracemalloc, a chunk peaks at 583 kB (a0 = 1) and at most 695 kB
+# (a0 = 20), where the batch with the most points, 7,550 in 1,100 runs,
+# is; a test holds every chunk under 1 MiB.  Batches of 64 triples peaked
+# at 1.08 MB, and batches of 16 pay the kernel's fixed cost twice as often.
 _BATCH_CELLS = 1 << 18
 
 
@@ -210,12 +214,7 @@ def _sorted_tuples(max_a4: int, a0: int, width: int, size: int) -> Iterator[np.n
 
 
 # ---------------------------------------------------------------------------
-# shaped mode: candidate generation for a batch of weight prefixes
-
-# Below this many a4 values, scanning a pattern's range outright is cheaper
-# than solving the membership conditions for a4.
-_SCAN_THRESHOLD = 6
-
+# shaped mode: candidate generation for a batch of weight triples
 
 # d1 = c1 + k1*a4, d2 = c2 + k2*a4 for each of the fifteen patterns.
 def _shape_rows(a0: int, a1: int, a2: int, a3: int):
@@ -240,221 +239,198 @@ def degree_shapes(weights: Sequence[int]) -> list[tuple[int, int]]:
 
 
 # The rows as arrays: k1 and k2 of each row, (15,), and c1 and c2 as the
-# (4, 15) coefficients of (a0, a1, a2, a3), read off the unit prefixes.
-_UNIT_ROWS = np.array([_shape_rows(*e) for e in np.eye(4, dtype=int).tolist()])
+# (4, 15) coefficients of (a0, a1, a2, a3), read off the unit prefixes.  So
+# d1 = P1 + _C1[3]*a3 + k1*a4 with P1 = (a0, a1, a2) @ _C1[:3], and the same
+# for d2.  Amplitude >= 1 reads _M*a4 <= B0 + _BETA*a3 with
+# B0 = a0 + a1 + a2 - 1 - P1 - P2.
+_UNIT_ROWS = np.array([_shape_rows(*e) for e in np.eye(4, dtype=int).tolist()], dtype=np.int32)
 _K1, _K2 = _UNIT_ROWS[0, :, 0], _UNIT_ROWS[0, :, 2]
 _C1, _C2 = _UNIT_ROWS[:, :, 1], _UNIT_ROWS[:, :, 3]
+# These and _SIDE2 are built from Python values: numpy arithmetic at import
+# would page in code that a process without shaped search never runs.
+_M = np.array([k1 + k2 - 1 for k1, _, k2, _ in _shape_rows(0, 0, 0, 0)], dtype=np.int32)
+_BETA = np.array([1 - c1 - c2 for _, c1, _, c2 in _shape_rows(0, 0, 0, 1)], dtype=np.int32)
+# The degree whose shifts d - a_e each row reads at coordinate 3.  Rows
+# 6..8 read d2, as d1 - a_x = a3 would keep every point.  Rows 3..5 read
+# d1: there d2 - a4 = a3 is a hit at every point, so the condition turns on
+# the hits of d1.  The other rows could read either; rows 1 and 2 read d1,
+# the rest d2.
+_SIDE2 = np.array([r == 0 or r >= 6 for r in range(15)])
+# The rows whose points at a4 = a3 other rows give too, so they start at
+# a4 = a3 + 1: there rows 3..5 and 9..11 read (a_x + a3, 2*a3), as rows
+# 6..8 do, and rows 13 and 14 read (2*a3, 2*a3), as row 12 does.
+_ABOVE = np.array([r in (3, 4, 5, 9, 10, 11, 13, 14) for r in range(15)], dtype=np.int32)
 
 
-# Branch (d) of the pair condition at the two largest coordinates, read from
-# two three-bit masks: bit k of m1 (of m2) says that d1 - a_k (d2 - a_k)
-# lies in <a3, a4>, for k in {0, 1, 2}.  It holds when each degree has two
-# such shifts and every k is one of them; _BRANCH_D[m1 | m2 << 3] says so.
-_BRANCH_D = np.array([
-    bin(m1).count("1") >= 2 and bin(m2).count("1") >= 2 and m1 | m2 == 7
-    for m2 in range(8) for m1 in range(8)
-])
-_SHIFT_BITS = 1 << np.arange(6)
+class _Runs:
+    """Candidate points (column of the batch, a3, a4, d1, d2) in runs: run
+    i holds start[:, i] + s*step[:, i] for s < count[i].  len() counts the
+    points, so runs are true when there is at least one point, as a set of
+    candidates is."""
+
+    def __init__(self, start: np.ndarray, step: np.ndarray, count: np.ndarray):
+        self.start, self.step, self.count = start, step, count
+        self.ends = count.cumsum()
+
+    def __len__(self) -> int:
+        return int(self.ends[-1]) if self.ends.size else 0
+
+    def slices(self, size: int) -> Iterator[np.ndarray]:
+        """The points in run order as int32 (5, m) arrays of at most
+        ``size`` points, each ``_filled``."""
+        for lo in range(0, len(self), size):
+            yield self._slice(lo, size)
+
+    def _slice(self, lo: int, size: int) -> np.ndarray:
+        at = np.arange(lo, min(lo + size, len(self)))
+        run = np.searchsorted(self.ends, at, side="right")
+        at -= self.ends[run] - self.count[run]
+        return _filled(self.start[:, run] + self.step[:, run] * at.astype(np.int32))
 
 
-def _top_pair_forms(c: np.ndarray, a3: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closed forms for the a4 that make c + a4 a member of <a3, a4> on the
-    steep tail a3 <= a4 < 2*a3, for -a3 < c <= a3, elementwise.
-
-    When c is 0 or a3 (the combination a4 + c), every a4 does: the first
-    array marks those.  Otherwise membership forces c + a4 to be a plain
-    multiple of a3, and 3*a3 would need a4 >= 2*a3, so one a4 of the tail
-    remains, a3 + (-c mod a3): the second array.  The caller filters it to
-    its own range."""
-    return c % a3 == 0, a3 + -c % a3
-
-
-def _top_pair_a4(c1: np.ndarray, c2: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The a4 values compatible with the pair condition at the two largest
-    coordinates, for rows (d1, d2) = (c1 + a4, c2 + a4) of the prefixes p,
-    (4, m), whose a4 ranges lie within a3 <= a4 < 2*a3: an (m, 8) array with
-    -1 for a slot a row does not keep, repeats allowed, and the rows where
-    the condition holds for every a4, whose values mean nothing."""
-    c = np.stack((c1, c2), axis=1)
-    every, forms = _top_pair_forms(
-        np.concatenate((c, (c[:, :, None] - p[:3].T[:, None, :]).reshape(-1, 6)), axis=1), p[3][:, None])
-    # Branches (a) to (c) need a degree in the span, (d) the shifts: a shift
-    # whose closed form holds for every a4 sets its bit in ``base``; any
-    # other a4 that can satisfy (d) is the closed form of some shift and
-    # collects the bits of every shift whose form it is.
-    shifts, listed = every[:, 2:], forms[:, 2:]
-    base = (shifts * _SHIFT_BITS).sum(axis=1)
-    bits = np.where(shifts, 0, _SHIFT_BITS)
-    collected = ((listed[:, :, None] == listed[:, None, :]) * bits[:, None, :]).sum(axis=2)
-    listed[shifts | ~_BRANCH_D[base[:, None] | collected]] = -1
-    return forms, every[:, 0] | every[:, 1] | _BRANCH_D[base]
-
-
-def _linear_residues(k: np.ndarray, r: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The residues x (mod m) with k*x == r (mod m), elementwise: two slots
-    on a new last axis, -1 where empty, and where every x solves it.
-
-    Only k in {-1, 0, 1, 2} occurs (degree patterns are at most 2*a4 plus a
-    constant), so each case has a closed form: x = k*r for k = 1 or -1, and
-    for k = 2, r/2 when r is even and (r + m)/2 when r + m is even."""
-    r = r % m
-    first = np.where(k == 2, np.where(r & 1, -1, r >> 1), k * r % m)
-    first[k == 0] = -1
-    second = np.where((k == 2) & ((r + m) & 1 == 0), (r + m) >> 1, -1)
-    return np.stack((first, second), axis=-1), (k == 0) & (r == 0)
-
-
-def _coord_residues(k1: np.ndarray, c1: np.ndarray, k2: np.ndarray, c2: np.ndarray,
-                    subs: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Necessary residues of a4 (mod m) for the singleton condition at the
-    coordinate of weight m, row by row, for the patterns (d1, d2) =
-    (c1 + k1*a4, c2 + k2*a4): m divides d1 or d2, or both sides admit a
-    shift d - a_e divisible by m, where a_e runs over subs, (4, r), and a4.
-
-    Returns an (r, 14) array with -1 for an empty slot, repeats allowed, and
-    the rows with no restriction, whose residues mean nothing."""
-    # The shifts of d1 by a0..a3 and by a4 (coefficient k1 - 1), the same
-    # for d2, then d1 and d2 themselves.
-    sols, every = _linear_residues(
-        np.stack((k1, k1, k1, k1, k1 - 1, k2, k2, k2, k2, k2 - 1, k1, k2)),
-        np.concatenate((subs - c1, [-c1], subs - c2, [-c2], [-c1], [-c2])), m)
-    sols = sols.transpose(1, 0, 2).reshape(-1, 24)
-    free1, free2 = every[:5].any(axis=0), every[5:10].any(axis=0)
-    r1, r2 = sols[:, :10], sols[:, 10:20]
-    in_r2 = (r1[:, :, None] == r2[:, None, :]).any(axis=2)
-    both = np.where(free1[:, None], r2, np.where(free2[:, None] | in_r2, r1, -1))
-    return np.concatenate((both, sols[:, 20:]), axis=1), every[10] | every[11] | (free1 & free2)
-
-
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """values, (r, s), sorted along each row, with -1 in place of each
-    repeat.  A stable sort pages in the least of numpy's sorting code."""
-    values = np.sort(values, axis=1, kind="stable")
-    values[:, 1:][values[:, 1:] == values[:, :-1]] = -1
-    return values
-
-
-def _rows(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (prefix, row) pairs where the (n, 15) ``mask`` holds, repeated
-    cyclically to a multiple of 64, and which of them are the originals.
+def _filled(c: np.ndarray) -> np.ndarray:
+    """The (5, m) columns c as int32, filled up with columns of zeros to a
+    multiple of 128.
 
     numpy keeps up to seven freed buffers of every size under 1 KiB for
-    reuse, so arrays of as many sizes as row counts take kept about a
-    megabyte after a (40, 80) run; counts rounded up take a handful of
-    sizes.  A repeat computes what its original does, so writing both to a
-    table is harmless, and it is kept out of the progressions."""
-    j, r = np.nonzero(mask)
-    size = -(-j.size // 64) * 64
-    return np.resize(j, size), np.resize(r, size), np.arange(size) < j.size
+    reuse, and the allocator what larger ones leave, so arrays of as many
+    sizes as the data gives keep memory that a handful of sizes does not."""
+    out = np.zeros((5, -(-c.shape[1] // 128) * 128), dtype=np.int32)
+    out[:, :c.shape[1]] = c
+    return out
 
 
-def _progressions(p: np.ndarray, max_a4: int, max_d2: int):
-    """The a4 values of every pattern row of the prefixes p, (4, n).
+def _ranges(first: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The values of the ranges first[i] .. first[i] + count[i] - 1 in
+    order, each with its range's index i: (index, value)."""
+    at = np.repeat(np.arange(count.size), count)
+    return at, np.arange(at.size, dtype=first.dtype) - (count.cumsum() - count)[at] + first[at]
 
-    Returns c1 and c2, (n, 15), and flat arrays (cell, first, step, count)
-    of arithmetic progressions of a4 that start at a3 or above, where the
-    cell j*15 + r names prefix j's row r.  A range of at most
-    ``_SCAN_THRESHOLD`` + 1 values is kept whole; any other is pinned by the
-    top pair (rows with d2 = c2 + a4) or restricted to residues of a4 modulo
-    a3, else modulo a2, else kept whole.  Rows that equal weights repeat,
-    and rows that meet, give the same candidate more than once.
+
+def _narrow(lo: np.ndarray, hi: np.ndarray, c: np.ndarray, b: np.ndarray) -> None:
+    """Narrow the integer intervals [lo, hi] in place to the x with
+    c*x <= b, elementwise; an interval with c = 0 > b empties."""
+    div = np.where(c == 0, 1, c)
+    np.minimum(hi, np.where(c > 0, b // div, np.where((c == 0) & (b < 0), lo - 1, hi)), out=hi)
+    np.maximum(lo, np.where(c < 0, -(-b // div), lo), out=lo)
+
+
+def _line_runs(P: np.ndarray, k: np.ndarray, a2: np.ndarray, b0: np.ndarray, room: np.ndarray,
+               r: np.ndarray, max_a4: int) -> tuple[np.ndarray, ...]:
+    """The runs (atom, a3, a4, da3, da4, count) of the atoms a3 | P + k*a4
+    with k >= 1, given per atom with its a2, B0 and room = max_d2 - P2 (so
+    d2 <= max_d2 reads k2*a4 + alpha2*a3 <= room) and pattern row r.
+
+    An atom is the lines k*a4 = u*a3 - P.  u runs from a4 >= a3, that is
+    u*a3 >= k*a3 + P with P >= -a2, up to the amplitude bound, m*u*a3 <=
+    k*B0 + m*P + k*beta*a3 with a3 >= a2.  On a line, a4 is affine in a3,
+    so a2 <= a3 <= a4 <= max_a4 (a3 < a4 in the rows of ``_ABOVE``),
+    amplitude >= 1 and d2 <= max_d2 leave one interval of a3."""
+    atom = np.flatnonzero(k)
+    P, k, a2, b0, room, r = P[atom], k[atom], a2[atom], b0[atom], room[atom], r[atom]
+    m, beta = _M[r], _BETA[r]
+    first = k + np.minimum(0, -(-P // a2))
+    last = (k * np.maximum(beta, 0) * a2 + np.maximum(k * b0 + m * P, 0)) // (m * a2)
+    at, u = _ranges(first, np.maximum(last - first + 1, 0))
+    P, k, b0, room, r, m, beta = P[at], k[at], b0[at], room[at], r[at], m[at], beta[at]
+    lo, hi = a2[at], np.full(at.size, max_a4, dtype=a2.dtype)
+    _narrow(lo, hi, k - u, -P - k * _ABOVE[r])
+    _narrow(lo, hi, u, k * max_a4 + P)
+    _narrow(lo, hi, m * u - k * beta, k * b0 + m * P)
+    _narrow(lo, hi, _K2[r] * u + k * _C2[3, r], k * room + _K2[r] * P)
+    # k*a4 = u*a3 - P needs u*a3 = P modulo k: every a3, every other, or none.
+    step = k // np.gcd(u, k)
+    a3 = lo + (P - u * lo) % step
+    count = np.where((u * a3 - P) % k == 0, (hi - a3) // step + 1, 0)
+    return atom[at], a3, (u * a3 - P) // k, step, u * step // k, count
+
+
+def _column_runs(P: np.ndarray, k: np.ndarray, a2: np.ndarray, b0: np.ndarray, room: np.ndarray,
+                 r: np.ndarray, max_a4: int) -> tuple[np.ndarray, ...]:
+    """The runs of the atoms with k = 0, as ``_line_runs`` gives them.
+    These are a3 | d1 in rows 6..8 and 12, none of them in ``_ABOVE``,
+    where d1 = a_x + a3 or 2*a3.  a3 >= a2 divides a_x only at
+    a3 = a_x = a2, where those rows are row 12, so only row 12's atom,
+    P = 0, is kept: each a3 whose lowest a4, a3 itself, lies in the box
+    keeps its column of a4 up to the bounds."""
+    atom = np.flatnonzero((k == 0) & (P == 0))
+    a2, b0, room, r = a2[atom], b0[atom], room[atom], r[atom]
+    m, beta, k2, alpha2 = _M[r], _BETA[r], _K2[r], _C2[3, r]
+    lo, hi = a2.copy(), np.full(atom.size, max_a4, dtype=a2.dtype)
+    _narrow(lo, hi, m - beta, b0)
+    _narrow(lo, hi, k2 + alpha2, room)
+    at, a3 = _ranges(lo, np.maximum(hi - lo + 1, 0))
+    top = np.minimum((b0[at] + beta[at] * a3) // m[at], (room[at] - alpha2[at] * a3) // k2[at])
+    return atom[at], a3, a3, np.zeros_like(a3), np.ones_like(a3), np.minimum(top, max_a4) - a3 + 1
+
+
+def _candidates_fast(t: np.ndarray, max_a4: int, max_d2: int) -> _Runs:
+    """Shaped-mode candidates for a batch of weight triples.
+
+    t is a (3, n) array, one (a0, a1, a2) column per triple.  For each
+    pattern row, modulo a3 the singleton condition at coordinate 3 needs
+    one of five atoms "a3 divides P + k*a4", with P fixed by the triple and
+    0 <= k <= 2: a3 | d1, a3 | d2, and a3 | d - a_e for e = 0, 1, 2 on the
+    row's side d (``_SIDE2``).  The e != f and a_e <= d clauses are
+    dropped, so the atoms keep a superset.  d - a3 is d modulo a3.  d - a4
+    adds no point the condition needs: a3 | d - a4 gives a3 | a4, so
+    a3 | d where d = 2*a4 (rows 6..14), and a3 = a_x = a2 where
+    d = a_x + a4 (rows 0..5); there any hit f < 3 of the other degree
+    makes d - a_f, or d1 in row 0, divisible by a3.  With k >= 1 an atom
+    is a family of lines in the (a3, a4) plane (``_line_runs``), with k = 0
+    whole columns of a4 (``_column_runs``).
+    Returns the points of every line and column as ``_Runs``.  A point that
+    meets several atoms, or several rows that equal weights make equal,
+    comes once for each.  The work is in int32, whose range holds every
+    value for max_a4 up to about 10^7; no pattern has d2 > 2*max_a4.
     """
-    a3 = p[3][:, None]
-    c1, c2 = p.T @ _C1, p.T @ _C2
-    hi = (p.sum(axis=0)[:, None] - 1 - c1 - c2) // (_K1 + _K2 - 1)
-    np.minimum(hi, (max_d2 - c2) // _K2, out=hi)
-    np.minimum(hi, max_a4, out=hi)
-    live = hi >= a3
-    solve = live & (hi - a3 > _SCAN_THRESHOLD)
-    whole = live & ~solve
-
-    # The top pair pins the a4 of its rows to values in [a3, 2*a3), each the
-    # one term of a progression of step a3 (hi < 2*a3 there).
-    j, r, real = _rows(solve & (_K2 == 1))
-    values, free = _top_pair_a4(c1[j, r], c2[j, r], p[:, j])
-    rows = [(j, r, real & ~free, p[3, j], np.concatenate((values, np.full((j.size, 6), -1)), axis=1))]
-    # Coordinate 3 restricts a4 unless its condition holds for every a4;
-    # coordinate 2 is the fallback, and a range neither restricts is whole.
-    rest = solve & (_K2 == 2)
-    rest[j, r] |= free
-    for i in (3, 2):
-        if not rest.any():
-            break
-        j, r, real = _rows(rest)
-        m = p[i, j]
-        res, every = _coord_residues(_K1[r], c1[j, r], _K2[r], c2[j, r], p[:, j], m)
-        rows.append((j, r, real & ~every, m, res))
-        rest[:] = False
-        rest[j, r] = every
-    whole |= rest
-    j, r, kept, m, res = map(np.concatenate, zip(*rows))
-
-    res = _distinct(res)
-    first = a3[j] + (res - a3[j]) % m[:, None]
-    count = np.where((res >= 0) & kept[:, None], (hi[j, r][:, None] - first) // m[:, None] + 1, 0)
-    used = np.flatnonzero(count)
-    row = used // 14
-    count_whole = np.where(whole, hi - a3 + 1, 0).ravel()
-    cell = np.flatnonzero(count_whole)
-    return c1, c2, *(np.concatenate(x) for x in zip(
-        ((j * 15 + r)[row], first.ravel()[used], m[row], count.ravel()[used]),
-        (cell, p[3, cell // 15], np.ones_like(cell), count_whole[cell])))
+    t, max_d2 = t.astype(np.int32), min(max_d2, 2 * max_a4)
+    p1, p2 = t.T @ _C1[:3], t.T @ _C2[:3]
+    side, k_side = np.where(_SIDE2, p2, p1), np.where(_SIDE2, _K2, _K1)
+    P = np.stack((p1, p2, side - t[0][:, None], side - t[1][:, None], side - t[2][:, None]), axis=2)
+    k = np.stack((_K1, _K2, k_side, k_side, k_side), axis=1)
+    # A key 4*P + k per atom (0 <= k <= 2), sorted along the row, shows its
+    # repeats: in rows 3..5, a3 | d2 and a3 | d1 - a_x are both a3 | a4.
+    key = np.sort(4 * P + k, axis=2)
+    fresh = np.ones(key.shape, dtype=bool)
+    fresh[:, :, 1:] = key[:, :, 1:] != key[:, :, :-1]
+    fresh &= t[2][:, None, None] <= max_a4
+    j, r, _ = np.nonzero(fresh)
+    key = key[fresh]
+    atoms = (key >> 2, key & 3, t[2, j], (t.sum(axis=0)[:, None] - 1 - p1 - p2)[j, r], max_d2 - p2[j, r], r)
+    atom, a3, a4, da3, da4, count = (
+        np.concatenate(x) for x in zip(_line_runs(*atoms, max_a4), _column_runs(*atoms, max_a4)))
+    run = np.flatnonzero(count > 0)
+    atom, a3, a4, da3, da4 = atom[run], a3[run], a4[run], da3[run], da4[run]
+    j, r = j[atom], r[atom]
+    alpha1, alpha2, k1, k2 = _C1[3, r], _C2[3, r], _K1[r], _K2[r]
+    start = np.stack((j, a3, a4, p1[j, r] + alpha1 * a3 + k1 * a4, p2[j, r] + alpha2 * a3 + k2 * a4),
+                     dtype=np.int32)
+    step = np.stack((np.zeros_like(a3), da3, da4, alpha1 * da3 + k1 * da4, alpha2 * da3 + k2 * da4))
+    return _Runs(start, step, count[run])
 
 
-class _Rows(np.ndarray):
-    """Candidate rows (column of p, a4, d1, d2), one per line.  Like a set
-    of candidates, and unlike a plain array, they are true when there is at
-    least one, so callers may test them as they tested sets."""
-
-    def __bool__(self) -> bool:
-        return len(self) > 0
-
-
-def _candidates_fast(p: np.ndarray, max_a4: int, max_d2: int) -> _Rows:
-    """Shaped-mode candidates for a batch of weight prefixes.
-
-    p is a (4, n) array, one (a0, a1, a2, a3) column per prefix.  Returns
-    (m, 4) distinct rows (column of p, a4, d1, d2), sorted, for each prefix
-    the set ``_progressions`` describes.
-    """
-    c1, c2, cell, first, step, count = _progressions(p, max_a4, max_d2)
-    # One key per candidate, ((column*(max_a4 + 1) + a4)*b + d1)*b + d2 with
-    # b = 2*max_a4 + 1 > d2 >= d1, so one sort brings repeats together.  The
-    # key is linear in a4, so a progression of a4 gives one of keys.  It fits
-    # in an int64 while n*(max_a4 + 1)*b**2 < 2**63: at 128 prefixes, for
-    # max_a4 up to about 2.6e5.
-    b = 2 * max_a4 + 1
-    r = cell % 15
-    slope = (b + _K1[r]) * b + _K2[r]
-    start = (cell // 15 * (max_a4 + 1) * b + c1.ravel()[cell]) * b + c2.ravel()[cell] + slope * first
-    key = np.arange(count.sum())
-    key -= np.repeat(count.cumsum() - count, count)
-    key *= np.repeat(slope * step, count)
-    key += np.repeat(start, count)
-    key.sort(kind="stable")
-    key = key[np.diff(key, prepend=-1) != 0]
-    rows = np.empty((key.size, 4), dtype=np.int64)
-    for col, radix in ((3, b), (2, b), (1, max_a4 + 1)):
-        rows[:, col] = key % radix
-        key //= radix
-    rows[:, 0] = key
-    return rows.view(_Rows)
-
-
-def _candidates_reference(p: np.ndarray, max_a4: int, max_d2: int) -> np.ndarray:
-    """Plain shaped-mode generator: scan a4 for each prefix and apply only
+def _candidates_reference(t: np.ndarray, max_a4: int, max_d2: int) -> _Runs:
+    """Plain shaped-mode generator: scan every a3 and a4 whose weight tuple
+    meets the four-weight gcd conditions, for each triple, and apply only
     the documented prunes.  It takes and returns what ``_candidates_fast``
-    does, and the differential tests hold that one to it."""
+    does, each point a run of one, and the differential tests hold that one
+    to it."""
     cands = []
-    for j, (a0, a1, a2, a3) in enumerate(p.T.tolist()):
-        for a4 in range(a3, max_a4 + 1):
-            total = a0 + a1 + a2 + a3 + a4
-            d2_cap = min(max_d2, 2 * a4)
-            for d1, d2 in degree_shapes((a0, a1, a2, a3, a4)):
-                if d2 > d2_cap or d1 + d2 > total - 1 or d1 < a0 + a3:
+    for j, (a0, a1, a2) in enumerate(t.T.tolist()):
+        for a3 in range(a2, max_a4 + 1):
+            for a4 in range(a3, max_a4 + 1):
+                w = (a0, a1, a2, a3, a4)
+                if any(gcd(*kept) > 1 for kept in combinations(w, 4)):
                     continue
-                cands.append((j, a4, d1, d2))
-    return np.array(cands, dtype=np.int64).reshape(-1, 4)
+                total = sum(w)
+                d2_cap = min(max_d2, 2 * a4)
+                for d1, d2 in degree_shapes(w):
+                    if d2 > d2_cap or d1 + d2 > total - 1 or d1 < a0 + a3:
+                        continue
+                    cands.append((j, a3, a4, d1, d2))
+    start = np.array(cands, dtype=np.int64).reshape(-1, 5).T
+    return _Runs(start, np.zeros_like(start), np.ones(start.shape[1], dtype=np.int64))
 
 
 # The singleton condition at one coordinate i, read from the hits of d1 and
@@ -468,71 +444,90 @@ _SINGLETON_OK = np.array([
 _HIT_BITS = (1 << np.arange(5)).astype(np.uint8)
 
 
-def _prefix_singletons(p: np.ndarray, c: np.ndarray, keep: np.ndarray,
+def _residue_hits(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The moduli a0, a1, a2 of the batch of triples t, (3, n), as int32,
+    and a (3, n, span) table: [i, j, r] has bit e when a_e = r (mod a_i),
+    for e < 3, and bit 5 at r = 0."""
+    n, span = t.shape[1], int(t.max())
+    table = np.zeros((3, n, span), dtype=np.uint8)
+    table[:, :, 0] = 32
+    coord, col = np.ogrid[:3, :n]
+    for e in range(3):
+        table[coord, col, t[e] % t] |= _HIT_BITS[e]
+    return t.astype(np.int32), table
+
+
+def _prefix_singletons(hits: tuple[np.ndarray, np.ndarray], c: np.ndarray, keep: np.ndarray,
                        coords: Sequence[int]) -> np.ndarray:
     """keep, narrowed in place to the candidates that meet the singleton
-    conditions at the prefix coordinates ``coords``.
+    conditions at the triple's coordinates ``coords``.
 
-    p is a (4, n) batch of prefixes, c the int32 (4, m) candidate columns
-    (column of p, a4, d1, d2) and keep a boolean (m,) mask.  One table per
-    batch and coordinate holds the hits of each residue class of a_i, so a
-    candidate needs d1, d2 and a4 modulo a_i and two reads of it.  Of the
-    a_e <= d tests only a4 <= d1 is made: shaped candidates have
-    d1 >= a0 + a3 > a3 and d2 > a4.  Elsewhere the mask may keep a
-    candidate the condition rejects, but never drops one it admits."""
-    j, a4, d1, d2 = c
-    m = p[list(coords)].astype(np.int32)
-    n, span = p.shape[1], int(m.max())
-    # table[k, j, r] has bit e when a_e == r (mod m[k, j]) for e < 4, and
-    # bit 5 at r = 0.
-    table = np.zeros((len(coords), n, span), dtype=np.uint8)
-    table[:, :, 0] = 32
-    coord, col = np.ogrid[:len(coords), :n]
-    for e in range(4):
-        table[coord, col, p[e] % m] |= _HIT_BITS[e]
-    at = j * span
+    hits is ``_residue_hits`` of the batch, c the (5, m) candidate columns
+    (column of the batch, a3, a4, d1, d2) and keep a boolean (m,) mask.  A
+    candidate needs d1, d2, a3 and a4 modulo a_i, a read of the table for
+    each degree and a compare with a3 and a4 for each.  Of the a_e <= d
+    tests only a4 <= d1 is made: shaped candidates have d1 >= a0 + a3 > a3
+    and d2 > a4.  Elsewhere the mask may keep a candidate the condition
+    rejects, but never drops one it admits."""
+    moduli, table = hits
+    j, a3, a4, d1, d2 = c
+    at = j * table.shape[2]
     a4_hit = np.where(a4 <= d1, np.uint8(16), np.uint8(0))
-    for k in range(len(coords)):
-        mk = m[k][j]
-        ra = a4 % mk
-        r1, r2 = d1 % mk, d2 % mk
-        h1 = table[k].ravel()[at + r1]
-        h1 |= (r1 == ra) * a4_hit
-        h2 = table[k].ravel()[at + r2]
-        h2 |= (r2 == ra).view(np.uint8) << 4
+    for i in coords:
+        m = moduli[i][j]
+        r1, r2, r3, r4 = d1 % m, d2 % m, a3 % m, a4 % m
+        h1 = table[i].ravel()[at + r1]
+        h1 |= (r1 == r3).view(np.uint8) << 3
+        h1 |= (r1 == r4) * a4_hit
+        h2 = table[i].ravel()[at + r2]
+        h2 |= (r2 == r3).view(np.uint8) << 3
+        h2 |= (r2 == r4).view(np.uint8) << 4
         keep &= _SINGLETON_OK[h1, h2]
     return keep
+
+
+def _gcd_products(t: np.ndarray, max_a4: int) -> np.ndarray:
+    """At [j, a3], for a3 = 0..max_a4: the product of the gcds of the
+    three-weight subsets of (a0, a1, a2, a3) that a four-weight subset with
+    a4 keeps, or 0 where gcd(a0, a1, a2, a3) > 1.  So (a0, ..., a4) meets
+    every four-weight gcd condition exactly when a4 is coprime to it: a4
+    shares a prime with one of the gcds exactly when it shares one with
+    their product, and gcd(a4, 0) = a4 > 1, as a4 >= a3 > 1 there."""
+    a3 = np.arange(max_a4 + 1)
+    prod = np.ones((t.shape[1], max_a4 + 1), dtype=np.int64)
+    for kept in _QUADRUPLES:
+        g = np.gcd.reduce(t[[e for e in kept if e < 3]], axis=0)[:, None]
+        if 3 in kept:
+            g = np.gcd(g, a3)
+        if 4 in kept:
+            prod *= g
+        else:
+            prod[g > 1] = 0
+    return prod
 
 
 def _solve_shaped_chunk(max_a4: int, max_d2: int, a0: int,
                         generator: Callable) -> list[tuple[int, ...]]:
     sols = []
-    size = max(1, _BATCH_CELLS >> 11)
-    # The three weights of the prefix that each four-weight subset with a4
-    # keeps.
-    tops = [kept[:3] for kept in _QUADRUPLES if kept[3] == 4]
-    for p in _sorted_tuples(max_a4, a0, 4, size):
-        # A short batch is filled up with prefixes beyond the box, which
-        # have no candidates, so that every batch has one size (see _rows).
-        p = np.concatenate((p, np.full((4, size - p.shape[1]), max_a4 + 1)), axis=1)
-        # a4 shares a prime with one of the three-weight gcds exactly when it
-        # shares one with their product.
-        g_prod = np.gcd.reduce(p[tops], axis=1).prod(axis=0)
-        cands = generator(p, max_a4, max_d2)
-        # The candidates as int32 columns, with columns of zeros, which the
-        # linear-cone test rules out, to make the count a multiple of 128
-        # (see _rows).
-        c = np.zeros((4, -(-len(cands) // 128) * 128), dtype=np.int32)
-        c[:, :len(cands)] = cands.T
-        del cands
-        j, a4, d1, _ = c
-        # Every pattern has d2 > a4 and d1 >= a0 + a3 > a3, so the one linear
-        # cone left to rule out is d1 = a4.
-        keep = np.gcd(g_prod[j], a4) == 1
-        keep &= d1 != a4
-        prefixes = list(map(tuple, p.T.tolist()))
-        for j, a4, d1, d2 in zip(*c[:, _prefix_singletons(p, c, keep, (0, 1, 2))].tolist()):
-            w = prefixes[j] + (a4,)
+    size = max(1, _BATCH_CELLS >> 13)
+    for t in _sorted_tuples(max_a4, a0, 3, size):
+        # A short batch is filled up with triples beyond the box, which have
+        # no candidates, so that every batch has one size.
+        t = np.concatenate((t, np.full((3, size - t.shape[1]), max_a4 + 1)), axis=1)
+        hits, g_prod = _residue_hits(t), _gcd_products(t, max_a4)
+        found = set()
+        for c in generator(t, max_a4, max_d2).slices(_BATCH_CELLS >> 6):
+            # Every pattern has d2 > a4 and d1 >= a0 + a3 > a3, so the one
+            # linear cone left to rule out is d1 = a4 (c[3] = c[2]); the
+            # filler columns of zeros fail it too.  It and singleton 0 leave
+            # few points for singletons 1 and 2.
+            c = _filled(c[:, _prefix_singletons(hits, c, c[3] != c[2], (0,))])
+            c = c[:, _prefix_singletons(hits, c, c[3] != c[2], (1, 2))]
+            j, a3, a4 = c[:3]
+            found.update(zip(*c[:, np.gcd(g_prod[j, a3], a4) == 1].tolist()))
+        triples = list(map(tuple, t.T.tolist()))
+        for j, a3, a4, d1, d2 in sorted(found):
+            w = triples[j] + (a3, a4)
             if _singleton_ok(w, d1, d2, 3) and del_pezzo_quick(w, d1, d2):
                 sols.append((*w, d1, d2))
     return sols

@@ -20,7 +20,7 @@ from definition import pair_branches, span
 from wcidp import families
 from wcidp.classifier import Candidate, amplitude, classify
 from wcidp.cli import _write_csv
-from wcidp.enumerator import Bounds, _top_pair_forms, degree_shapes, enumerate_solutions
+from wcidp.enumerator import Bounds, degree_shapes, enumerate_solutions
 
 DESK_BOUNDS = Bounds(60, 120)
 CROSS_BOUNDS = Bounds(40, 80)
@@ -144,18 +144,28 @@ def test_c06_degree_bounds_hold_on_exhaustive_output(cross_results):
           f"{len(exhaustive.solutions)} exhaustive solutions")
 
 
+def top_pair_forms(c, a3):
+    """Closed forms for the a4 that make c + a4 a member of <a3, a4> on the
+    steep tail a3 <= a4 < 2*a3, for -a3 < c <= a3, elementwise.
+
+    When c is 0 or a3 (the combination a4 + c), every a4 does: the first
+    array marks those.  Otherwise membership forces c + a4 to be a plain
+    multiple of a3, and 3*a3 would need a4 >= 2*a3, so one a4 of the tail
+    remains, a3 + (-c mod a3): the second array."""
+    return c % a3 == 0, a3 + -c % a3
+
+
 def test_c07_steep_tail_closed_forms_match_brute_force():
-    # The shaped generator pins a4 by ``_top_pair_forms``: on a steep tail
-    # a3 <= a4 < 2*a3, c + a4 lies in <a3, a4> exactly when the closed form
-    # holds for every a4 or names a4.  The generator asks with c = a_x or
-    # c = a_x - a_t for weights 1 <= a_t, a_x <= a3, so sweeping
-    # -a3 < c <= a3 with a4 <= 60 covers every sorted quintuple the
-    # statement quantifies over.
+    # On a steep tail a3 <= a4 < 2*a3, c + a4 lies in <a3, a4> exactly when
+    # the closed form holds for every a4 or names a4.  The pair condition at
+    # (3, 4) asks this with c = a_x or c = a_x - a_t for weights
+    # 1 <= a_t, a_x <= a3, so sweeping -a3 < c <= a3 with a4 <= 60 covers
+    # every sorted quintuple the statement quantifies over.
     t0 = time.monotonic()
     checked = 0
     for a3 in range(1, 61):
         c = np.arange(1 - a3, a3 + 1)
-        every, form = _top_pair_forms(c, a3)
+        every, form = top_pair_forms(c, a3)
         for a4 in range(a3, min(2 * a3 - 1, 60) + 1):
             for ci, closed in zip(c.tolist(), (every | (form == a4)).tolist()):
                 assert closed == span((a3, a4), ci + a4), (a3, a4, ci)

@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import random
 import tracemalloc
 from itertools import combinations, combinations_with_replacement
 from math import gcd
@@ -10,26 +11,24 @@ import numpy as np
 import pytest
 
 from wcidp import classifier, enumerator, families
-from wcidp.classifier import Candidate, classify, del_pezzo_quick
+from wcidp.classifier import del_pezzo_quick
 from wcidp.enumerator import (
     Bounds,
     _candidates_fast,
     _candidates_reference,
-    _coord_residues,
     _exhaustive_tuple_solutions,
     _prefix_singletons,
-    _shape_rows,
+    _residue_hits,
     _singleton_states,
     _solve_chunk,
     _solve_exhaustive_chunk,
     _solve_shaped_chunk,
     _sorted_tuples,
-    _top_pair_a4,
     degree_shapes,
     enumerate_solutions,
     sporadic,
 )
-from wcidp.quasismooth import _pair_ok, _singleton_ok
+from wcidp.quasismooth import _singleton_ok
 
 
 def keys(result):
@@ -42,36 +41,61 @@ def prefix_batch(prefix, max_a4):
     return w[:, (w[1] == prefix[1]) & (w[2] == prefix[2])]
 
 
-def coprime_prefixes(max_a4, a0s):
-    """The coprime (a0, a1, a2, a3) prefixes with a0 in a0s, in
-    lexicographic order."""
-    return [p for a0 in a0s for p in combinations_with_replacement(range(a0, max_a4 + 1), 3)
-            for p in [(a0, *p)] if gcd(*p) == 1]
+def weight_triples(max_a4, a0s):
+    """The sorted (a0, a1, a2) with a0 in a0s, in lexicographic order."""
+    return [(a0, *rest) for a0 in a0s for rest in combinations_with_replacement(range(a0, max_a4 + 1), 2)]
 
 
-def candidate_sets(prefixes, max_a4, max_d2, generator=_candidates_fast, batch=512):
-    """Each prefix's sorted (a4, d1, d2) candidates, the generator run on
-    batches of ``batch`` prefixes."""
+def points(runs):
+    """Every point of a generator's runs, as a (5, m) array in run order
+    without the filler columns (a3 = 0)."""
+    c = np.concatenate([np.zeros((5, 0), dtype=np.int32), *runs.slices(4096)], axis=1)
+    return c[:, c[1] > 0]
+
+
+def candidate_sets(triples, max_a4, max_d2, generator=_candidates_fast, batch=512):
+    """Each triple's sorted (a3, a4, d1, d2) points, repeats kept, the
+    generator run on batches of ``batch`` triples."""
     sets = []
-    for lo in range(0, len(prefixes), batch):
-        p = np.array(prefixes[lo:lo + batch]).T
-        c = generator(p, max_a4, max_d2)
+    for lo in range(0, len(triples), batch):
+        t = np.array(triples[lo:lo + batch]).T
+        c = points(generator(t, max_a4, max_d2)).T
         c = c[np.lexsort(c.T[::-1])]
-        cut = np.searchsorted(c[:, 0], np.arange(p.shape[1] + 1))
+        cut = np.searchsorted(c[:, 0], np.arange(t.shape[1] + 1))
         rows = list(map(tuple, c[:, 1:].tolist()))
-        sets.extend(rows[cut[k]:cut[k + 1]] for k in range(p.shape[1]))
+        sets.extend(rows[cut[k]:cut[k + 1]] for k in range(t.shape[1]))
     return sets
 
 
-def pinned_digest(prefixes, max_a4, max_d2):
-    """The number of candidates and the sha256 of every prefix with its
-    sorted candidates, in prefix order."""
+def pinned_digest(triples, max_a4, max_d2, batch=64):
+    """The number of points the kernel emits for the triples, and the
+    sha256 of them all as int64 rows (triple's index, a3, a4, d1, d2),
+    sorted."""
     h = hashlib.sha256()
     total = 0
-    for p, cands in zip(prefixes, candidate_sets(prefixes, max_a4, max_d2)):
-        total += len(cands)
-        h.update(repr((p, cands)).encode())
+    for lo in range(0, len(triples), batch):
+        c = points(_candidates_fast(np.array(triples[lo:lo + batch]).T, max_a4, max_d2)).astype(np.int64)
+        c[0] += lo
+        total += c.shape[1]
+        h.update(np.ascontiguousarray(c[:, np.lexsort(c[::-1])].T).tobytes())
     return total, h.hexdigest()
+
+
+def missed_by_the_kernel(triples, max_a4, max_d2):
+    """The reference candidates of the triples that meet the singleton
+    condition at coordinate 3 and that the kernel does not emit, and how
+    many met it."""
+    met, missed = 0, []
+    for lo in range(0, len(triples), 32):
+        t = np.array(triples[lo:lo + 32]).T
+        fast = set(zip(*points(_candidates_fast(t, max_a4, max_d2)).tolist()))
+        for j, a3, a4, d1, d2 in points(_candidates_reference(t, max_a4, max_d2)).T.tolist():
+            w = (*triples[lo + j], a3, a4)
+            if _singleton_ok(w, d1, d2, 3):
+                met += 1
+                if (j, a3, a4, d1, d2) not in fast:
+                    missed.append((w, d1, d2))
+    return met, missed
 
 
 def reference_keys(max_a4, max_d2):
@@ -169,97 +193,82 @@ def test_fast_generator_matches_reference_at_medium_bounds():
     assert fast == ref
 
 
-def test_fast_candidates_cover_reference_candidates():
-    # At generation level the fast path may emit fewer raw candidates, but
-    # never miss one the reference keeps after full classification.
-    prefixes = [(1, 2, 3, 5), (2, 3, 7, 8), (1, 1, 4, 4), (3, 3, 3, 5), (2, 4, 5, 9)]
-    ref = candidate_sets(prefixes, 24, 48, _candidates_reference)
-    fast = candidate_sets(prefixes, 24, 48)
-    for prefix, r, f in zip(prefixes, ref, fast):
-        for a4, d1, d2 in set(r) - set(f):
-            c = Candidate((*prefix, a4), d1, d2)
-            assert not classify(c).is_del_pezzo, (prefix, a4, d1, d2)
+@pytest.mark.parametrize("a0", range(495, 501))
+def test_exhaustive_and_shaped_chunks_agree_at_the_full_bound(a0):
+    # The chunks a0 = 495..500 of the paper's bound (500, 1000) reach moduli
+    # near 500 and cost exhaustive mode well under a second each (a0 = 500,
+    # or whichever runs first, also builds its degree tables).  The catalog
+    # predicts no solution with a0 > 42, and both modes find none.
+    shaped = _solve_shaped_chunk(500, 1000, a0, _candidates_fast)
+    assert shaped == _solve_exhaustive_chunk(500, 1000, a0) == []
+
+
+@pytest.mark.skipif(not os.environ.get("WCIDP_SLOW"),
+                    reason="exhaustive mode takes about 100 s on this chunk; set WCIDP_SLOW=1")
+def test_exhaustive_and_shaped_chunks_agree_at_100_200():
+    # A chunk beyond the exhaustive limit of whole runs, with solutions.
+    shaped = sorted(_solve_shaped_chunk(100, 200, 13, _candidates_fast))
+    assert len(shaped) == 22
+    assert sorted(_solve_exhaustive_chunk(100, 200, 13)) == shaped
+
+
+def test_kernel_keeps_every_reference_candidate_that_meets_singleton_3_at_30_60():
+    # The kernel keeps the points of one atom of the singleton condition at
+    # coordinate 3 or another, a superset of that condition: every candidate
+    # the plain scan gives that meets it must be among the kernel's points,
+    # for every triple of (30, 60).
+    met, missed = missed_by_the_kernel(weight_triples(30, range(1, 31)), 30, 60)
+    assert met == 178_586
+    assert missed == []
+
+
+def test_kernel_keeps_every_reference_candidate_that_meets_singleton_3_at_the_full_bound():
+    # The same on triples drawn from the paper's bound (500, 1000), whose
+    # moduli a3 reach 500: 40 triples of three weights drawn uniformly from
+    # 1..500 and sorted, from a fixed seed.
+    rng = random.Random(2021)
+    triples = sorted(tuple(sorted(rng.choices(range(1, 501), k=3))) for _ in range(40))
+    met, missed = missed_by_the_kernel(triples, 500, 1000)
+    assert met == 64_264
+    assert missed == []
 
 
 def test_fast_candidate_sets_at_30_60_are_pinned():
-    # The fast generator's output for every coprime prefix of (30, 60), in
-    # prefix order.  A change to how it solves for a4 may make it faster or
-    # shorter, but must leave every set as it is.
-    assert pinned_digest(coprime_prefixes(30, range(1, 31)), 30, 60) == (
-        682_815, "1fbc54a3bdd7f094bd72b43fcf5dd6db8a998975d19a14efd98855023d665734")
+    # The kernel's points for every triple of (30, 60), in triple order.  A
+    # change to how it solves for (a3, a4) may make it faster or shorter,
+    # but must leave every set as it is.
+    assert pinned_digest(weight_triples(30, range(1, 31)), 30, 60) == (
+        411_940, "5d90589d2f666423569bfc7d69287dbf89e266b165ff248537027720a08ec1af")
 
 
 @pytest.mark.parametrize("a0, size, pin", [
-    pytest.param(450, 19_132, (471_188, "39e888bb0242de14dc369b4f67ae0bea568866641f2d09a394e7504c1881196e"),
+    pytest.param(450, 1_326, (632_515, "a47d985cdd570347497c426db5c386d8fd0249a50ad3e8f422edccba8c8e6808"),
                  id="450"),
-    pytest.param(480, 1_399, (46_344, "26f30dcb991607a5baa0ca352bf22f0483103465193bc0500e7cc3ba54d22967"),
+    pytest.param(480, 231, (34_540, "0395603f4f86ccc4292c68e9d9970259f3e6098664c7f2f23d963c202ce979eb"),
                  id="480"),
-    pytest.param(499, 3, (8, "3d3547f9ef0fd52809851d0a9dadfa30484e49f5a5859e9318b06e23bd7ccb30"), id="499"),
-    pytest.param(420, 75_402, (1_525_917, "d9d59cb8bccfa66efa336691c80246786a1a074c45a47e65b519070dfd8ce800"),
+    pytest.param(499, 3, (53, "239728038853390d50c7741064c296343a918cb905378af85080ca720bb3ecd7"), id="499"),
+    pytest.param(420, 3_321, (3_169_915, "89b5bbe3c976e1dea19a3a42cb4348790e4c9acf34b962c0d4a858acaffa377b"),
                  id="420", marks=pytest.mark.skipif(not os.environ.get("WCIDP_SLOW"),
-                                                    reason="the a0 = 420 chunk takes about 6 s; set WCIDP_SLOW=1")),
+                                                    reason="the a0 = 420 chunk takes about 2 s; "
+                                                           "set WCIDP_SLOW=1")),
 ])
 def test_fast_candidate_sets_of_full_bound_chunks_are_pinned(a0, size, pin):
     # The same at the paper's bound (500, 1000), for the chunks a0 = 450,
-    # 480, 499 (the bound's last three prefixes) and 420: moduli a3 and a2
-    # up to 500 reach top-pair and residue cases that (30, 60) never does.
-    # a0 = 450 was pinned from the per-prefix generator the batch kernel
-    # replaced, the others from the batch kernel before one sort dropped
-    # its repeated candidates.
-    prefixes = coprime_prefixes(500, [a0])
-    assert len(prefixes) == size
-    assert pinned_digest(prefixes, 500, 1000) == pin
+    # 480, 499 (the bound's last three triples) and 420: moduli a3 and a2
+    # up to 500 reach lines and columns that (30, 60) never does.
+    triples = weight_triples(500, [a0])
+    assert len(triples) == size
+    assert pinned_digest(triples, 500, 1000) == pin
 
 
 def test_fast_candidate_sets_do_not_depend_on_the_batch():
-    # A prefix's candidates come from its own rows only, whatever shares its
-    # batch: batches of one prefix, of a few (which leave most residue and
-    # top-pair rows unpadded) and of many give the same sets, each set once.
-    prefixes = coprime_prefixes(24, [2, 12])
-    whole = candidate_sets(prefixes, 24, 48, batch=len(prefixes))
-    assert all(len(s) == len(set(s)) for s in whole)
+    # A triple's points come from its own rows only, whatever shares its
+    # batch: batches of one triple, of a few and of many give the same
+    # points, each as often.
+    triples = weight_triples(24, [2, 12])
+    whole = candidate_sets(triples, 24, 48, batch=len(triples))
     for batch in (1, 3, 64):
-        assert candidate_sets(prefixes, 24, 48, batch=batch) == whole, batch
-
-
-def test_top_pair_a4_drops_no_a4_the_pair_condition_admits():
-    # For each pattern (d1, d2) = (c1 + a4, c2 + a4), every a4 from a3 up to
-    # the amplitude bound that meets the pair condition at (3, 4) must be
-    # kept.  Sorted prefixes with repeated weights reach the shifts whose
-    # closed form holds for every a4.
-    rows = [(prefix, c1, c2) for prefix in combinations_with_replacement(range(1, 21), 4)
-            for _, c1, k2, c2 in _shape_rows(*prefix) if k2 == 1]
-    prefixes, c1, c2 = (np.array(x) for x in zip(*rows))
-    values, free = _top_pair_a4(c1, c2, prefixes.T)
-    checked, missed = 0, []
-    for (prefix, c1, c2), kept, every in zip(rows, values.tolist(), free.tolist()):
-        for a4 in range(prefix[3], sum(prefix) - c1 - c2):
-            checked += 1
-            if not every and a4 not in kept and _pair_ok((*prefix, a4), c1 + a4, c2 + a4, 3, 4):
-                missed.append((prefix, c1, c2, a4))
-    assert checked == 316_107
-    assert missed == []
-
-
-def test_coord_residues_drop_no_a4_the_singleton_condition_admits():
-    # Modulo a3 the residues must keep every a4 that meets singleton 3, and
-    # modulo a2 every a4 that meets singleton 2, for each distinct pattern.
-    rows = [(prefix, row, i) for prefix in combinations_with_replacement(range(1, 13), 4)
-            for row in set(_shape_rows(*prefix)) for i in (3, 2)]
-    prefixes = np.array([prefix for prefix, _, _ in rows]).T
-    k1, c1, k2, c2 = np.array([row for _, row, _ in rows]).T
-    m = prefixes[[i for _, _, i in rows], np.arange(len(rows))]
-    res, free = _coord_residues(k1, c1, k2, c2, prefixes, m)
-    checked, missed = 0, []
-    for (prefix, (k1, c1, k2, c2), i), kept, every in zip(rows, res.tolist(), free.tolist()):
-        m = prefix[i]
-        for a4 in range(prefix[3], 31):
-            checked += 1
-            if (not every and a4 % m not in kept
-                    and _singleton_ok((*prefix, a4), c1 + k1 * a4, c2 + k2 * a4, i)):
-                missed.append((prefix, k1, c1, k2, c2, m, a4))
-    assert checked == 681_668
-    assert missed == []
+        assert candidate_sets(triples, 24, 48, batch=batch) == whole, batch
 
 
 def test_result_partition_into_sporadic_and_family_carried():
@@ -474,27 +483,25 @@ def test_exhaustive_chunk_memory_stays_within_the_stated_budget():
 
 
 def test_prefix_singleton_masks_equal_the_predicate_on_every_30_60_candidate():
-    # On the generator's candidates, where d1 >= a0 + a3 and d2 > a4, the
-    # masks skip no test that matters: each equals the predicate.
+    # On the kernel's points, where d1 >= a0 + a3 and d2 > a4, the masks
+    # skip no test that matters: each equals the predicate.
     for a0 in range(1, 31):
-        for p in _sorted_tuples(30, a0, 4, 128):
-            cands = _candidates_fast(p, 30, 60)
-            c = cands.T.astype(np.int32)
-            rows = cands.tolist()
-            prefixes = list(map(tuple, p.T.tolist()))
+        for t in _sorted_tuples(30, a0, 3, 32):
+            c = points(_candidates_fast(t, 30, 60))
+            rows = c.T.tolist()
+            triples = list(map(tuple, t.T.tolist()))
             for i in (0, 1, 2):
-                mask = _prefix_singletons(p, c, np.ones(len(rows), dtype=bool), (i,)).tolist()
-                expected = [_singleton_ok(prefixes[j] + (a4,), d1, d2, i) for j, a4, d1, d2 in rows]
+                mask = _prefix_singletons(_residue_hits(t), c, np.ones(len(rows), dtype=bool), (i,)).tolist()
+                expected = [_singleton_ok(triples[j] + (a3, a4), d1, d2, i) for j, a3, a4, d1, d2 in rows]
                 assert mask == expected, (a0, i)
 
 
 def test_shaped_chunk_memory_stays_within_the_stated_budget():
-    # The comment on _BATCH_CELLS promises that a shaped batch, kernel and
-    # filter, needs under 1 MiB at (40, 80).  Measured on the largest chunk,
-    # a0 = 1, and on a0 = 17..24: a0 = 24 holds the batch with the most
-    # candidates and a0 = 22 peaks highest.  The first runs fill the
-    # membership caches, which are not the batch's.
-    for a0 in (1, *range(17, 25)):
+    # The comment on _BATCH_CELLS promises that a shaped batch, kernel,
+    # slices and filter, needs under 1 MiB at (40, 80).  Measured on every
+    # chunk.  The first runs fill the membership caches, which are not the
+    # batch's.
+    for a0 in range(1, 41):
         _solve_shaped_chunk(40, 80, a0, _candidates_fast)
         tracemalloc.start()
         try:
@@ -506,15 +513,16 @@ def test_shaped_chunk_memory_stays_within_the_stated_budget():
 
 
 def test_shaped_chunk_result_does_not_depend_on_batch_size(monkeypatch):
-    # Batches of 1, 3 and 128 prefixes (2048 cells a prefix), short ones
-    # filled up with prefixes beyond the box, give the same solutions; only
+    # Batches of 1, 3 and 32 triples (8192 cells a triple), short ones
+    # filled up with triples beyond the box, expanded in slices of 128, 384
+    # and 4096 points (64 cells a point), give the same solutions; only
     # their order within a chunk may differ.
     def chunks():
         return [sorted(_solve_shaped_chunk(20, 40, a0, _candidates_fast)) for a0 in range(1, 21)]
 
     default = chunks()
     assert sum(map(len, default)) == 183
-    for cells in (2048, 3 * 2048):
+    for cells in (8192, 3 * 8192):
         monkeypatch.setattr(enumerator, "_BATCH_CELLS", cells)
         assert chunks() == default, cells
 
@@ -524,7 +532,7 @@ def test_stage_counts_at_20_40_are_pinned(monkeypatch):
     # attribute; wrapping them counts what every stage receives and passes.
     # A change to the generator or to the filter chain that moves any of
     # these counts changes which candidates the search examines.  For the
-    # two kernels, which take a batch of prefixes or tuples, the counts
+    # two kernels, which take a batch of triples or tuples, the counts
     # also hold how many columns they were handed: a change to how the
     # weight tuples are cut into batches moves those.
     counts = {}
@@ -545,14 +553,15 @@ def test_stage_counts_at_20_40_are_pinned(monkeypatch):
 
     count(enumerator, "_candidates_fast", batch=True)
     # The prefix-singleton masks narrow the mask of the candidates still in
-    # play: count how many it held before and after.
+    # play, once for coordinate 0 and once for 1 and 2: count how many it
+    # held before and after, for each.
     singletons = enumerator._prefix_singletons
-    masked = counts["_prefix_singletons"] = [0, 0]
+    masked = counts["_prefix_singletons"] = {(0,): [0, 0], (1, 2): [0, 0]}
 
-    def narrowed(p, c, keep, coords):
-        masked[0] += int(keep.sum())
-        keep = singletons(p, c, keep, coords)
-        masked[1] += int(keep.sum())
+    def narrowed(hits, c, keep, coords):
+        masked[coords][0] += int(keep.sum())
+        keep = singletons(hits, c, keep, coords)
+        masked[coords][1] += int(keep.sum())
         return keep
 
     monkeypatch.setattr(enumerator, "_prefix_singletons", narrowed)
@@ -561,13 +570,14 @@ def test_stage_counts_at_20_40_are_pinned(monkeypatch):
     count(classifier, "is_well_formed", size=bool)
     res = enumerate_solutions(Bounds(20, 40), jobs=1)
     assert len(res.solutions) == 183
-    assert counts["_candidates_fast"][1] == 126_078
-    # 73 batches of 128 prefixes, the short ones filled up beyond the box.
-    assert counts["_candidates_fast"][::2] == [73, 9_344]
-    assert counts["_prefix_singletons"] == [101_519, 7_048]
-    assert counts["_singleton_ok"] == [7_048, 2_935]
-    assert counts["del_pezzo_quick"] == [2_935, 183]
-    assert counts["is_well_formed"] == [2_935, 295]
+    assert counts["_candidates_fast"][1] == 88_245
+    # 59 batches of 32 triples, the short ones filled up beyond the box.
+    assert counts["_candidates_fast"][::2] == [59, 1_888]
+    assert counts["_prefix_singletons"] == {(0,): [88_043, 50_948], (1, 2): [50_948, 13_289]}
+    # The gcd-product test and the drop of repeats leave 4,404 points.
+    assert counts["_singleton_ok"] == [4_404, 3_026]
+    assert counts["del_pezzo_quick"] == [3_026, 183]
+    assert counts["is_well_formed"] == [3_026, 295]
     # The exhaustive kernel hands del_pezzo_quick only the well-formed
     # pairs that meet every singleton condition.
     counts["del_pezzo_quick"][:] = [0, 0]

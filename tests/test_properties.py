@@ -1,7 +1,9 @@
 """Property tests on random candidates with a4 <= 60: the short-circuit
 predicates agree with the full reports and with their definitions, and the
 classification does not depend on the order of the input.  The shaped
-chunk loop's singleton masks never drop what the definition admits."""
+chunk loop's singleton masks never drop what the definition admits, and
+its generator, on weights up to 500, never drops a candidate that meets
+the singleton condition at coordinate 3."""
 
 import numpy as np
 from definition import singleton
@@ -10,7 +12,13 @@ from hypothesis import strategies as st
 
 from wcidp.classifier import Candidate, classify, del_pezzo_quick
 from wcidp.cli import _load_sporadic_asset
-from wcidp.enumerator import _prefix_singletons, degree_shapes
+from wcidp.enumerator import (
+    _candidates_fast,
+    _candidates_reference,
+    _prefix_singletons,
+    _residue_hits,
+    degree_shapes,
+)
 from wcidp.quasismooth import _singleton_ok
 from wcidp.wellformed import check_wf, is_well_formed
 
@@ -70,30 +78,58 @@ def test_classification_ignores_input_order(case, data):
 
 
 @st.composite
-def prefix_batches(draw):
-    """A few sorted (a0, a1, a2, a3) prefixes and candidate columns
-    (column, a4, d1, d2) on them, with a4 >= a3 and arbitrary degrees, then
-    the column of zeros the shaped chunk loop fills a batch up with."""
-    prefixes = draw(st.lists(st.lists(st.integers(1, 30), min_size=4, max_size=4).map(sorted),
-                             min_size=1, max_size=4))
-    rows = draw(st.lists(st.tuples(st.integers(0, len(prefixes) - 1), st.integers(0, 30),
+def triple_batches(draw):
+    """A few sorted (a0, a1, a2) triples and candidate columns
+    (column, a3, a4, d1, d2) on them, with a4 >= a3 >= a2 and arbitrary
+    degrees, then the column of zeros the shaped chunk loop fills a slice
+    up with."""
+    triples = draw(st.lists(st.lists(st.integers(1, 30), min_size=3, max_size=3).map(sorted),
+                            min_size=1, max_size=4))
+    rows = draw(st.lists(st.tuples(st.integers(0, len(triples) - 1), st.integers(0, 30), st.integers(0, 30),
                                    st.integers(0, 90), st.integers(0, 90)), max_size=12))
-    return prefixes, [(j, prefixes[j][3] + up, d1, d2) for j, up, d1, d2 in rows] + [(0, 0, 0, 0)]
+    rows = [(j, triples[j][2] + up3, triples[j][2] + up3 + up4, d1, d2) for j, up3, up4, d1, d2 in rows]
+    return triples, rows + [(0, 0, 0, 0, 0)]
 
 
 @FIXED
-@given(prefix_batches())
+@given(triple_batches())
 # a4 = 8 is congruent to d1 = 5 modulo a0 = 3, but exceeds it: no hit.
-@example(([[3, 3, 3, 4]], [(0, 8, 5, 10), (0, 0, 0, 0)]))
+@example(([[3, 3, 3]], [(0, 4, 8, 5, 10), (0, 0, 0, 0, 0)]))
 def test_prefix_singleton_masks_never_drop_what_the_definition_admits(batch):
     # The masks test a_e <= d only for a4 at d1.  So they equal the condition
     # where d1 > a3 and d2 >= a4, as on every shaped candidate; elsewhere
     # they may keep more than it admits, never less.
-    prefixes, rows = batch
-    p, c = np.array(prefixes).T, np.array(rows, dtype=np.int32).T
-    for i in range(4):
-        keep = _prefix_singletons(p, c, np.ones(len(rows), dtype=bool), (i,))
-        for (j, a4, d1, d2), kept in zip(rows, keep.tolist()):
-            a = (*prefixes[j], a4)
+    triples, rows = batch
+    t, c = np.array(triples).T, np.array(rows, dtype=np.int32).T
+    for i in range(3):
+        keep = _prefix_singletons(_residue_hits(t), c, np.ones(len(rows), dtype=bool), (i,))
+        for (j, a3, a4, d1, d2), kept in zip(rows, keep.tolist()):
+            a = (*triples[j], a3, a4)
             admitted = singleton(a, d1, d2, i)
-            assert kept == admitted if d1 > a[3] and d2 >= a4 else kept or not admitted, (a, d1, d2, i)
+            assert kept == admitted if d1 > a3 and d2 >= a4 else kept or not admitted, (a, d1, d2, i)
+
+
+@st.composite
+def kernel_cases(draw):
+    """A box up to (500, 1000) and a sorted triple whose a2 lies within 24
+    of the box's a4, so that the plain scan of (a3, a4) stays short."""
+    max_a4 = draw(st.integers(1, 500))
+    a2 = draw(st.integers(max(1, max_a4 - 24), max_a4))
+    a1 = draw(st.integers(1, a2))
+    return (draw(st.integers(1, a1)), a1, a2), max_a4, draw(st.integers(2, 1000))
+
+
+@FIXED
+@given(kernel_cases())
+def test_generator_keeps_every_candidate_that_meets_singleton_3(case):
+    # Each candidate of the plain scan that meets the singleton condition
+    # at coordinate 3 is among the kernel's points.
+    triple, max_a4, max_d2 = case
+    t = np.array(triple)[:, None]
+    fast = set()
+    for piece in _candidates_fast(t, max_a4, max_d2).slices(4096):
+        fast.update(map(tuple, piece.T.tolist()))
+    for piece in _candidates_reference(t, max_a4, max_d2).slices(4096):
+        for j, a3, a4, d1, d2 in piece.T.tolist():
+            if a3 and _singleton_ok((*triple, a3, a4), d1, d2, 3):
+                assert (j, a3, a4, d1, d2) in fast, (triple, a3, a4, d1, d2, max_a4, max_d2)
