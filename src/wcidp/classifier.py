@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .quasismooth import (
-    _PAIR_ORDER,
-    _SINGLE_ORDER,
-    _TRIPLE_ORDER,
+    _PAIR_CHECKS,
+    _SINGLE_CHECKS,
+    _TRIPLE_CHECKS,
     QsReport,
     _pair_ok,
     _singleton_ok,
@@ -140,22 +140,25 @@ def del_pezzo_quick(a: tuple[int, int, int, int, int], d1: int, d2: int) -> bool
     """Short-circuiting boolean equivalent of ``classify(...).is_del_pezzo``.
 
     Takes a raw ascending weight tuple; used inside enumeration loops where
-    building reports would dominate the runtime.  Checks are ordered by
-    rejection power per unit cost.
+    building reports would dominate the runtime.  Amplitude, the linear
+    cones and well-formedness come first: both search modes hand over only
+    candidates that meet the singleton conditions, and well-formedness
+    rejects most of them.  The quasi-smoothness tables follow, each read
+    backwards, so that the subsets of the largest weights come first.
     """
     if sum(a) - d1 - d2 < 1:
         return False
     if d1 in a or d2 in a:
         return False
-    for i in _SINGLE_ORDER:
-        if not _singleton_ok(a, d1, d2, i):
-            return False
     if not is_well_formed(a, d1, d2):
         return False
-    for i, j in _PAIR_ORDER:
+    for (i,), _, _ in reversed(_SINGLE_CHECKS):
+        if not _singleton_ok(a, d1, d2, i):
+            return False
+    for (i, j), _, _ in reversed(_PAIR_CHECKS):
         if not _pair_ok(a, d1, d2, i, j):
             return False
-    for k, l, m in _TRIPLE_ORDER:
+    for (k, l, m), _, _ in reversed(_TRIPLE_CHECKS):
         if not _triple_ok(a, d1, d2, k, l, m):
             return False
     return True

@@ -15,7 +15,7 @@ the given bounds whose verdict is del Pezzo:
   of whole tuples, so a batch stays under 1 MiB.
   Coordinates 3..0 then filter the joined survivors of the whole batch:
   numpy decides the singleton conditions, the linear cones and amplitude,
-  and ``is_well_formed`` and ``del_pezzo_quick`` the rest.
+  and ``del_pezzo_quick`` the rest.
 
 * ``shaped`` iterates only the fifteen degree patterns a quasi-smooth
   candidate can have at its largest weight: d2 = a_y + a4 (y < 4) with
@@ -79,7 +79,7 @@ import numpy as np
 
 from .classifier import Candidate, del_pezzo_quick
 from .quasismooth import _singleton_ok
-from .wellformed import _GCD_CONDITIONS, SINGLE_GCD, is_well_formed
+from .wellformed import _GCD_CONDITIONS, SINGLE_GCD
 
 if TYPE_CHECKING:
     from .families import FamilyMatch
@@ -444,17 +444,18 @@ _SINGLETON_OK = np.array([
 _HIT_BITS = (1 << np.arange(5)).astype(np.uint8)
 
 
-def _residue_hits(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The moduli a0, a1, a2 of the batch of triples t, (3, n), as int32,
-    and a (3, n, span) table: [i, j, r] has bit e when a_e = r (mod a_i),
-    for e < 3, and bit 5 at r = 0."""
-    n, span = t.shape[1], int(t.max())
-    table = np.zeros((3, n, span), dtype=np.uint8)
-    table[:, :, 0] = 32
-    coord, col = np.ogrid[:3, :n]
-    for e in range(3):
-        table[coord, col, t[e] % t] |= _HIT_BITS[e]
-    return t.astype(np.int32), table
+def _residue_classes(w: np.ndarray) -> np.ndarray:
+    """The residue classes of the weights w, (k, n), modulo each of them: a
+    (k, n, span) uint8 table, span the largest weight, whose [i, j, r] has
+    bit e when w[e, j] = r (mod w[i, j]), and bit 5 at r = 0.  A class's
+    bits are summed, since its weights' bits differ."""
+    k, n = w.shape
+    span = int(w.max())
+    rows = np.arange(0, k * n * span, span).reshape(k, n)
+    at = rows + w[:, None, :] % w
+    classes = np.bincount(at.ravel(), np.repeat(_HIT_BITS[:k], k * n), k * n * span).astype(np.uint8)
+    classes[rows] |= 32
+    return classes.reshape(k, n, span)
 
 
 def _prefix_singletons(hits: tuple[np.ndarray, np.ndarray], c: np.ndarray, keep: np.ndarray,
@@ -462,7 +463,8 @@ def _prefix_singletons(hits: tuple[np.ndarray, np.ndarray], c: np.ndarray, keep:
     """keep, narrowed in place to the candidates that meet the singleton
     conditions at the triple's coordinates ``coords``.
 
-    hits is ``_residue_hits`` of the batch, c the (5, m) candidate columns
+    hits holds the moduli a0, a1, a2 of the batch of triples as int32, (3, n),
+    and their ``_residue_classes``; c is the (5, m) candidate columns
     (column of the batch, a3, a4, d1, d2) and keep a boolean (m,) mask.  A
     candidate needs d1, d2, a3 and a4 modulo a_i, a read of the table for
     each degree and a compare with a3 and a4 for each.  Of the a_e <= d
@@ -514,7 +516,7 @@ def _solve_shaped_chunk(max_a4: int, max_d2: int, a0: int,
         # A short batch is filled up with triples beyond the box, which have
         # no candidates, so that every batch has one size.
         t = np.concatenate((t, np.full((3, size - t.shape[1]), max_a4 + 1)), axis=1)
-        hits, g_prod = _residue_hits(t), _gcd_products(t, max_a4)
+        hits, g_prod = (t.astype(np.int32), _residue_classes(t)), _gcd_products(t, max_a4)
         found = set()
         for c in generator(t, max_a4, max_d2).slices(_BATCH_CELLS >> 6):
             # Every pattern has d2 > a4 and d1 >= a0 + a3 > a3, so the one
@@ -565,19 +567,13 @@ def _singleton_states(w: np.ndarray, dmax: int, max_d2: int) -> tuple[np.ndarray
     a hit at d2 needs to pair with a hit at d1: none without a hit at d1,
     any index after several, and any index but e after the one hit e.
     """
-    n = w.shape[1]
-    span = int(w.max())
-    # The hits of a residue class of a_i are the bits of the weights in it,
-    # summed since they differ; class 0 also carries the divisor bit.  A
-    # degree keeps the hits of its class whose weights it reaches.
-    rows = np.arange(0, 5 * n * span, span).reshape(5, n)
-    at = rows + w[:, None, :] % w
-    classes = np.bincount(at.ravel(), np.repeat(_HIT_BITS, 5 * n), 5 * n * span).astype(np.uint8)
-    classes[rows] |= 32
+    classes = _residue_classes(w)
+    # A degree keeps the hits of its residue class whose weights it reaches.
+    rows = np.arange(0, classes.size, classes.shape[2]).reshape(5, w.shape[1])
     at = _degree_tables(max_d2)[0][np.minimum(w, max_d2 + 1), :dmax + 1]
     at += rows[:, :, None]
     reach = np.einsum("e,e...->...", _HIT_BITS, np.arange(dmax + 1) >= w[:, :, None])
-    states = classes[at]
+    states = classes.ravel()[at]
     states &= reach | 32
     hits = states & 31
     lead = hits ^ 31
@@ -601,7 +597,7 @@ def _exhaustive_tuple_solutions(w: np.ndarray, max_d2: int) -> list[tuple[int, .
     of each block's survivors are kept, joined in (tuple, d1, d2) order.
     Coordinates 3..0 then filter the survivors of the whole batch at once:
     numpy decides the singleton conditions, the linear cones and amplitude,
-    and ``is_well_formed`` and ``del_pezzo_quick`` the rest.  Results come
+    and ``del_pezzo_quick`` the rest.  Results come
     in (tuple, d1, d2) order, so a batch gives the concatenation of what its
     columns give one at a time.
     """
@@ -632,7 +628,7 @@ def _exhaustive_tuple_solutions(w: np.ndarray, max_d2: int) -> list[tuple[int, .
         ok &= (lead[i].ravel()[at1] & trail[i].ravel()[at2]) != 0
     sols = []
     for a, d1, d2 in zip(map(tuple, w[:, k[ok]].T.tolist()), d1[ok].tolist(), d2[ok].tolist()):
-        if is_well_formed(a, d1, d2) and del_pezzo_quick(a, d1, d2):
+        if del_pezzo_quick(a, d1, d2):
             sols.append((*a, d1, d2))
     return sols
 

@@ -18,9 +18,12 @@ of the listed weights and {k, l, m} for the complement of a pair {i, j}:
   d2 - a_j, or d2 plus both d1 - a_i, d1 - a_j.
 
 In (b) and (c) the shift index e ranges over all five coordinates; a shift
-that goes negative simply fails membership.  ``check_qs`` reports every
-failing subset; ``classifier.del_pezzo_quick`` short-circuits over the same
-predicates for enumeration loops.
+that goes negative simply fails membership.  Each level keeps one table of
+its subsets in lexicographic order (``_SINGLE_CHECKS``, ``_PAIR_CHECKS``,
+``_TRIPLE_CHECKS``).  ``check_qs`` reads them forwards and reports every
+failing subset; ``classifier.del_pezzo_quick`` reads them backwards and
+short-circuits for enumeration loops.  Backwards, each level starts with
+the subsets of the largest weights, the most selective ones.
 """
 
 from __future__ import annotations
@@ -46,20 +49,6 @@ _PAIRS = tuple(combinations(range(5), 2))
 _TRIPLES = tuple(combinations(range(5), 3))
 _PAIR_REST = {s: tuple(k for k in range(5) if k not in s) for s in _PAIRS}
 _TRIPLE_REST = {s: tuple(k for k in range(5) if k not in s) for s in _TRIPLES}
-
-# High-weight pairs and triples are the most selective; test them first.
-# Singletons 4 and 3 go last: every degree pattern of the shaped search meets
-# index 4 by construction (a4 divides d2 = 2*a4, and (d1, d2) = (a_x + a4,
-# a_y + a4) with x != y pairs the shifts a_x and a_y), and the shaped chunk
-# loop tests index 3 itself before calling ``del_pezzo_quick``.  That loop
-# has tested indices 0, 1 and 2 before, as numpy masks, so on its survivors
-# every singleton here holds, as it does on the exhaustive kernel's.
-_SINGLE_ORDER = (2, 1, 0, 4, 3)
-_PAIR_ORDER = ((3, 4), (2, 4), (2, 3), (1, 4), (1, 3), (0, 4), (0, 3), (1, 2), (0, 2), (0, 1))
-_TRIPLE_ORDER = (
-    (2, 3, 4), (1, 3, 4), (0, 3, 4), (1, 2, 4), (0, 2, 4),
-    (0, 1, 4), (1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2),
-)
 
 
 @dataclass(frozen=True)

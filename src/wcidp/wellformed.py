@@ -10,10 +10,9 @@ hold on the weight subsets:
 * for every omitted single index, the remaining four weights are coprime.
 
 ``_GCD_CONDITIONS`` lists the 25 sub-conditions once, and one table of
-getters built from it, ``_GETTERS``, feeds both ``check_wf``, which reads it
-in report order and reports every violated sub-condition, and
-``is_well_formed``, which reads it reordered (``_SHORT_CIRCUIT``) and
-short-circuits inside enumeration loops.
+getters built from it, ``_GETTERS``, feeds both ``check_wf``, which reports
+every violated sub-condition, and ``is_well_formed``, which short-circuits
+inside enumeration loops.  Both read it in report order.
 """
 
 from __future__ import annotations
@@ -96,19 +95,9 @@ def check_wf(candidate: "Candidate") -> WfReport:
     return WfReport(passed=not violations, violations=tuple(violations))
 
 
-# ``is_well_formed``'s order: pairs refute most enumeration survivors, and
-# both search modes have already made the four-weight subsets coprime, so
-# singles go last.
-_SHORT_CIRCUIT = tuple(
-    (kind, kept)
-    for first in (PAIR_GCD, TRIPLE_GCD, SINGLE_GCD)
-    for kind, kept, _ in _GETTERS if kind == first
-)
-
-
 def is_well_formed(a: tuple[int, int, int, int, int], d1: int, d2: int) -> bool:
     """Short-circuiting boolean variant over a raw sorted weight tuple."""
-    for kind, kept in _SHORT_CIRCUIT:
+    for kind, kept, _ in _GETTERS:
         b = gcd(*kept(a))
         if b != 1 and _gcd_violated(kind, b, d1, d2):
             return False

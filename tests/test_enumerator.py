@@ -18,7 +18,7 @@ from wcidp.enumerator import (
     _candidates_reference,
     _exhaustive_tuple_solutions,
     _prefix_singletons,
-    _residue_hits,
+    _residue_classes,
     _singleton_states,
     _solve_chunk,
     _solve_exhaustive_chunk,
@@ -490,8 +490,9 @@ def test_prefix_singleton_masks_equal_the_predicate_on_every_30_60_candidate():
             c = points(_candidates_fast(t, 30, 60))
             rows = c.T.tolist()
             triples = list(map(tuple, t.T.tolist()))
+            hits = t.astype(np.int32), _residue_classes(t)
             for i in (0, 1, 2):
-                mask = _prefix_singletons(_residue_hits(t), c, np.ones(len(rows), dtype=bool), (i,)).tolist()
+                mask = _prefix_singletons(hits, c, np.ones(len(rows), dtype=bool), (i,)).tolist()
                 expected = [_singleton_ok(triples[j] + (a3, a4), d1, d2, i) for j, a3, a4, d1, d2 in rows]
                 assert mask == expected, (a0, i)
 
@@ -578,18 +579,21 @@ def test_stage_counts_at_20_40_are_pinned(monkeypatch):
     assert counts["_singleton_ok"] == [4_404, 3_026]
     assert counts["del_pezzo_quick"] == [3_026, 183]
     assert counts["is_well_formed"] == [3_026, 295]
-    # The exhaustive kernel hands del_pezzo_quick only the well-formed
-    # pairs that meet every singleton condition.
-    counts["del_pezzo_quick"][:] = [0, 0]
+    # The exhaustive kernel hands del_pezzo_quick every pair that meets the
+    # singleton conditions, amplitude and the cone test; del_pezzo_quick
+    # makes the one well-formedness test of each.
+    counts["del_pezzo_quick"][:] = counts["is_well_formed"][:] = [0, 0]
     count(enumerator, "_exhaustive_tuple_solutions", batch=True)
     exhaustive = enumerate_solutions(Bounds(20, 40), mode="exhaustive", jobs=1)
     assert keys(exhaustive) == keys(res)
-    assert counts["del_pezzo_quick"] == [777, 183]
+    assert counts["del_pezzo_quick"] == [5_739, 183]
+    assert counts["is_well_formed"] == [5_739, 777]
     assert counts["_exhaustive_tuple_solutions"] == [169, 183, 31_254]
 
 
 def test_every_degree_pattern_meets_the_top_singleton():
-    # del_pezzo_quick tests coordinate 4 near last because of this.
+    # So singleton 4 never rejects a shaped candidate, though
+    # del_pezzo_quick tests it first among the singletons.
     for w in combinations_with_replacement(range(1, 13), 5):
         for d1, d2 in degree_shapes(w):
             assert _singleton_ok(w, d1, d2, 4), (w, d1, d2)

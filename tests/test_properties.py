@@ -1,9 +1,13 @@
 """Property tests on random candidates with a4 <= 60: the short-circuit
 predicates agree with the full reports and with their definitions, and the
-classification does not depend on the order of the input.  The shaped
-chunk loop's singleton masks never drop what the definition admits, and
-its generator, on weights up to 500, never drops a candidate that meets
-the singleton condition at coordinate 3."""
+classification does not depend on the order of the input.  A sweep of small
+candidates checks that the short-circuit verdict reads every condition that
+rejects a candidate alone.  The shaped chunk loop's singleton masks never
+drop what the definition admits, and its generator, on weights up to 500,
+never drops a candidate that meets the singleton condition at coordinate
+3."""
+
+from itertools import combinations_with_replacement
 
 import numpy as np
 from definition import singleton
@@ -16,10 +20,10 @@ from wcidp.enumerator import (
     _candidates_fast,
     _candidates_reference,
     _prefix_singletons,
-    _residue_hits,
+    _residue_classes,
     degree_shapes,
 )
-from wcidp.quasismooth import _singleton_ok
+from wcidp.quasismooth import _singleton_ok, check_qs
 from wcidp.wellformed import check_wf, is_well_formed
 
 # Derandomized, so every run draws the same examples.
@@ -58,6 +62,29 @@ def test_quick_verdict_equals_full_classification(case):
 def test_well_formed_boolean_equals_report(case):
     a, d1, d2 = case
     assert is_well_formed(a, d1, d2) == check_wf(Candidate(a, d1, d2)).passed
+
+
+def test_quick_verdict_rejects_every_candidate_with_one_violation():
+    # del_pezzo_quick reads the report tables in an order of its own.  Each
+    # non-cone candidate with amplitude >= 1, weights up to 8 and degrees up
+    # to 16 that fails exactly one condition must be rejected by it.  So an
+    # order that leaves out one of the subsets or gcd conditions reached
+    # here lets a candidate through.
+    swept, qs_reached, wf_reached = 0, set(), set()
+    for a in combinations_with_replacement(range(1, 9), 5):
+        for d1 in range(1, 17):
+            for d2 in range(d1, min(16, sum(a) - 1 - d1) + 1):
+                if d1 in a or d2 in a:
+                    continue
+                swept += 1
+                c = Candidate(a, d1, d2)
+                wf, qs = check_wf(c).violations, check_qs(c).violations
+                if len(wf) + len(qs) == 1:
+                    wf_reached.update((v.condition, v.omitted) for v in wf)
+                    qs_reached.update((v.level, v.indices) for v in qs)
+                    assert not del_pezzo_quick(a, d1, d2), (a, d1, d2, wf, qs)
+    assert swept == 41_270
+    assert (len(qs_reached), len(wf_reached)) == (8, 17)
 
 
 @FIXED
@@ -101,8 +128,9 @@ def test_prefix_singleton_masks_never_drop_what_the_definition_admits(batch):
     # they may keep more than it admits, never less.
     triples, rows = batch
     t, c = np.array(triples).T, np.array(rows, dtype=np.int32).T
+    hits = t.astype(np.int32), _residue_classes(t)
     for i in range(3):
-        keep = _prefix_singletons(_residue_hits(t), c, np.ones(len(rows), dtype=bool), (i,))
+        keep = _prefix_singletons(hits, c, np.ones(len(rows), dtype=bool), (i,))
         for (j, a3, a4, d1, d2), kept in zip(rows, keep.tolist()):
             a = (*triples[j], a3, a4)
             admitted = singleton(a, d1, d2, i)
