@@ -38,21 +38,23 @@ the given bounds whose verdict is del Pezzo:
   by the triple: a3 divides d1, d2, or a shift d - a_e of one degree.  An
   atom with k >= 1 is a family of lines on which a4 is affine in a3, and
   the box, amplitude >= 1 and d2 <= max_d2 cut each line to one interval
-  of a3; the one atom with k = 0 that matters keeps whole columns of a4.  So no residue
-  system is solved per (a0, a1, a2, a3) prefix.  The atoms keep a superset
-  of the condition, and every candidate is still fully re-classified, so
-  they cannot introduce false positives.  A plain scanning generator,
+  of a3, and bound its slope, so that lines without a point are never
+  made; the one atom with k = 0 that matters keeps whole columns of a4.
+  So no residue system is solved per (a0, a1, a2, a3) prefix.  The atoms
+  keep a superset of the condition, and every candidate is still fully
+  re-classified, so they cannot introduce false positives.  A plain scanning generator,
   ``_candidates_reference``, backs the kernel in the differential tests:
   every candidate it gives that meets singleton 3 must be among the
   kernel's points, and tests pin those points by hash.  The kernel returns
-  runs of points, which the chunk loop expands in slices of at most 4096
-  points and filters cheapest first, as numpy masks: the linear cone
-  d1 = a4, the singleton conditions at coordinates 0, 1 and 2
-  (``_prefix_singletons``), then the four-weight gcd conditions on the few
-  survivors.  A point comes once for each atom and row that hold it, and
-  one set drops the repeats.  Then, one survivor at a time, the singleton
-  condition at coordinate 3 and ``del_pezzo_quick`` decide.  A batch holds
-  32 triples and needs under 1 MiB (see ``_BATCH_CELLS``).
+  runs of points, which the chunk loop expands with ``np.repeat`` in
+  slices of at most 4096 points and filters cheapest first, as numpy
+  masks: the linear cone d1 = a4, the singleton conditions at coordinates
+  0, 1 and 2 (``_prefix_singletons``), then the four-weight gcd conditions
+  on the few survivors.  A point comes once for each atom and row that
+  hold it, and one set drops the repeats.  Then, one survivor at a time,
+  the singleton condition at coordinate 3 and ``del_pezzo_quick`` decide.
+  A batch holds 128 triples, 64 at the paper's bound, and needs under
+  1 MiB (see ``_BATCH_CELLS``).
 
 Work is cut into one chunk per value of the smallest weight a0, whatever
 the job count.  One stream, ``_sorted_tuples``, cuts a chunk into batches
@@ -156,16 +158,23 @@ class EnumerationResult:
 # (20, 40); at (30, 60) 2^20 ran about 15 % faster, but needs four times
 # the memory.
 #
-# Shaped mode charges a weight triple 8192 cells (16 KiB): the atoms of its
+# Shaped mode charges a weight triple 2048 cells (4 KiB): the atoms of its
 # fifteen pattern rows, their lines and the runs of points on them, each
-# held in a dozen arrays of 4-byte entries.  So a batch of
-# _BATCH_CELLS >> 13 = 32 triples, expanded in slices of
+# held in about a dozen arrays of 4-byte entries.  So a batch of
+# _BATCH_CELLS >> 11 = 128 triples, expanded in slices of
 # _BATCH_CELLS >> 6 = 4096 points (64 cells a point: five int32
-# coordinates and the masks' temporaries), needs under 1 MiB.  At (40, 80),
-# under tracemalloc, a chunk peaks at 583 kB (a0 = 1) and at most 695 kB
-# (a0 = 20), where the batch with the most points, 7,550 in 1,100 runs,
-# is; a test holds every chunk under 1 MiB.  Batches of 64 triples peaked
-# at 1.08 MB, and batches of 16 pay the kernel's fixed cost twice as often.
+# coordinates and the masks' temporaries), needs under 1 MiB.  Building the
+# batch's residue classes (``_residue_classes``) takes 27 bytes for each
+# of a triple's three moduli and each residue up to max_a4, under
+# 16 * (max_a4 + 1) cells a triple; where that exceeds 2048 a batch holds
+# fewer triples, but never fewer than _BATCH_CELLS >> 12 = 64, as the
+# kernel's fixed cost of a call, about 0.3 ms, then dominates.  Under
+# tracemalloc, every chunk of (40, 80) peaks at most at 654 kB (a0 = 1),
+# and the (500, 1000) chunks a0 = 350, 420 and 450, in batches of 64
+# triples whose residue classes alone take 873 kB to build, at 1,045, 985
+# and 984 kB; tests hold every (40, 80) chunk and a0 = 450 under 1 MiB.  At
+# (40, 80) batches of 256 triples peaked at 1.26 MB, and batches of 32
+# made 378 kernel calls where 128 make 112, and took 0.59 against 0.46 s.
 _BATCH_CELLS = 1 << 18
 
 
@@ -270,22 +279,27 @@ class _Runs:
 
     def __init__(self, start: np.ndarray, step: np.ndarray, count: np.ndarray):
         self.start, self.step, self.count = start, step, count
-        self.ends = count.cumsum()
 
     def __len__(self) -> int:
-        return int(self.ends[-1]) if self.ends.size else 0
+        return int(self.count.sum())
 
     def slices(self, size: int) -> Iterator[np.ndarray]:
-        """The points in run order as int32 (5, m) arrays of at most
-        ``size`` points, each ``_filled``."""
-        for lo in range(0, len(self), size):
-            yield self._slice(lo, size)
-
-    def _slice(self, lo: int, size: int) -> np.ndarray:
-        at = np.arange(lo, min(lo + size, len(self)))
-        run = np.searchsorted(self.ends, at, side="right")
-        at -= self.ends[run] - self.count[run]
-        return _filled(self.start[:, run] + self.step[:, run] * at.astype(np.int32))
+        """The points in run order as int32 (5, m) arrays of ``size``
+        points (the last may hold fewer), each ``_filled``.  Two binary
+        searches find the runs a slice meets, the first and the last are
+        cut to it, and ``np.repeat`` expands them."""
+        ends, total = self.count.cumsum(), len(self)
+        for lo in range(0, total, size):
+            hi = min(lo + size, total)
+            first, last = np.searchsorted(ends, (lo, hi - 1), side="right").tolist()
+            count = self.count[first:last + 1].copy()
+            skip = np.zeros(count.size, dtype=np.int32)
+            skip[0] = lo - (ends[first] - count[0])
+            count[0] -= skip[0]
+            count[-1] -= ends[last] - hi
+            at, s = _ranges(skip, count)
+            at += first
+            yield _filled(self.start[:, at] + self.step[:, at] * s)
 
 
 def _filled(c: np.ndarray) -> np.ndarray:
@@ -302,9 +316,10 @@ def _filled(c: np.ndarray) -> np.ndarray:
 
 def _ranges(first: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The values of the ranges first[i] .. first[i] + count[i] - 1 in
-    order, each with its range's index i: (index, value)."""
-    at = np.repeat(np.arange(count.size), count)
-    return at, np.arange(at.size, dtype=first.dtype) - (count.cumsum() - count)[at] + first[at]
+    order, each with its range's index i: (index, value), both in the
+    dtype of ``first`` where ``count`` has it too."""
+    at = np.repeat(np.arange(count.size, dtype=first.dtype), count)
+    return at, np.arange(at.size, dtype=first.dtype) - (count.cumsum(dtype=first.dtype) - count)[at] + first[at]
 
 
 def _narrow(lo: np.ndarray, hi: np.ndarray, c: np.ndarray, b: np.ndarray) -> None:
@@ -321,28 +336,43 @@ def _line_runs(P: np.ndarray, k: np.ndarray, a2: np.ndarray, b0: np.ndarray, roo
     with k >= 1, given per atom with its a2, B0 and room = max_d2 - P2 (so
     d2 <= max_d2 reads k2*a4 + alpha2*a3 <= room) and pattern row r.
 
-    An atom is the lines k*a4 = u*a3 - P.  u runs from a4 >= a3, that is
-    u*a3 >= k*a3 + P with P >= -a2, up to the amplitude bound, m*u*a3 <=
-    k*B0 + m*P + k*beta*a3 with a3 >= a2.  On a line, a4 is affine in a3,
-    so a2 <= a3 <= a4 <= max_a4 (a3 < a4 in the rows of ``_ABOVE``),
-    amplitude >= 1 and d2 <= max_d2 leave one interval of a3."""
-    atom = np.flatnonzero(k)
-    P, k, a2, b0, room, r = P[atom], k[atom], a2[atom], b0[atom], room[atom], r[atom]
-    m, beta = _M[r], _BETA[r]
-    first = k + np.minimum(0, -(-P // a2))
-    last = (k * np.maximum(beta, 0) * a2 + np.maximum(k * b0 + m * P, 0)) // (m * a2)
-    at, u = _ranges(first, np.maximum(last - first + 1, 0))
-    P, k, b0, room, r, m, beta = P[at], k[at], b0[at], room[at], r[at], m[at], beta[at]
-    lo, hi = a2[at], np.full(at.size, max_a4, dtype=a2.dtype)
+    An atom is the lines k*a4 = u*a3 - P, one for each slope u, and each
+    bound on a point bounds u, as a2 <= a3 <= a4 <= max_a4 and P >= -a2:
+    - a4 >= a3 reads (u - k)*a3 >= P, so u >= k + ceil(P/a2) where P <= 0,
+      and u >= k + ceil(P/max_a4) where P > 0;
+    - a4 <= max_a4 reads u*a3 <= k*max_a4 + P, so u <= (k*max_a4 + P)/a2;
+    - amplitude >= 1 reads m*u*a3 <= k*B0 + m*P + k*beta*a3, so
+      u <= (k*max(beta, 0)*a2 + max(k*B0 + m*P, 0))/(m*a2);
+    - d2 <= max_d2 reads (k2*u + k*alpha2)*a3 <= k*room + k2*P, every row
+      having k2 >= 1 and alpha2 >= 0, so
+      u <= (k*room + k2*P - k*alpha2*a2)/(k2*a2).
+    Atoms with no slope left are dropped before their lines are made.  On a
+    line, a4 is affine in a3, so a2 <= a3 <= a4 <= max_a4 (a3 < a4 in the
+    rows of ``_ABOVE``), amplitude >= 1 and d2 <= max_d2 leave one interval
+    of a3."""
+    m, k2 = _M[r], _K2[r]
+    first = k - (-P // np.where(P > 0, max_a4, a2))
+    last = (k * np.maximum(_BETA[r], 0) * a2 + np.maximum(k * b0 + m * P, 0)) // (m * a2)
+    np.minimum(last, (k * max_a4 + P) // a2, out=last)
+    np.minimum(last, (k * room + k2 * P - k * _C2[3, r] * a2) // (k2 * a2), out=last)
+    atom = np.flatnonzero((k > 0) & (last >= first)).astype(np.int32)
+    at, u = _ranges(first[atom], last[atom] - first[atom] + 1)
+    # A batch's memory peaks at its lines: free what they do not need.
+    del m, k2, first, last
+    atom = atom[at]
+    P, k, r = P[atom], k[atom], r[atom]
+    lo, hi = a2[atom], np.full(atom.size, max_a4, dtype=a2.dtype)
     _narrow(lo, hi, k - u, -P - k * _ABOVE[r])
     _narrow(lo, hi, u, k * max_a4 + P)
-    _narrow(lo, hi, m * u - k * beta, k * b0 + m * P)
-    _narrow(lo, hi, _K2[r] * u + k * _C2[3, r], k * room + _K2[r] * P)
+    _narrow(lo, hi, _M[r] * u - k * _BETA[r], k * b0[atom] + _M[r] * P)
+    _narrow(lo, hi, _K2[r] * u + k * _C2[3, r], k * room[atom] + _K2[r] * P)
     # k*a4 = u*a3 - P needs u*a3 = P modulo k: every a3, every other, or none.
     step = k // np.gcd(u, k)
     a3 = lo + (P - u * lo) % step
     count = np.where((u * a3 - P) % k == 0, (hi - a3) // step + 1, 0)
-    return atom[at], a3, (u * a3 - P) // k, step, u * step // k, count
+    run = np.flatnonzero(count > 0)
+    atom, u, P, k, a3, step, count = atom[run], u[run], P[run], k[run], a3[run], step[run], count[run]
+    return atom, a3, (u * a3 - P) // k, step, u * step // k, count
 
 
 def _column_runs(P: np.ndarray, k: np.ndarray, a2: np.ndarray, b0: np.ndarray, room: np.ndarray,
@@ -353,7 +383,7 @@ def _column_runs(P: np.ndarray, k: np.ndarray, a2: np.ndarray, b0: np.ndarray, r
     a3 = a_x = a2, where those rows are row 12, so only row 12's atom,
     P = 0, is kept: each a3 whose lowest a4, a3 itself, lies in the box
     keeps its column of a4 up to the bounds."""
-    atom = np.flatnonzero((k == 0) & (P == 0))
+    atom = np.flatnonzero((k == 0) & (P == 0)).astype(np.int32)
     a2, b0, room, r = a2[atom], b0[atom], room[atom], r[atom]
     m, beta, k2, alpha2 = _M[r], _BETA[r], _K2[r], _C2[3, r]
     lo, hi = a2.copy(), np.full(atom.size, max_a4, dtype=a2.dtype)
@@ -395,19 +425,20 @@ def _candidates_fast(t: np.ndarray, max_a4: int, max_d2: int) -> _Runs:
     fresh = np.ones(key.shape, dtype=bool)
     fresh[:, :, 1:] = key[:, :, 1:] != key[:, :, :-1]
     fresh &= t[2][:, None, None] <= max_a4
-    j, r, _ = np.nonzero(fresh)
+    j, r = (x.astype(np.int32) for x in np.nonzero(fresh)[:2])
     key = key[fresh]
-    atoms = (key >> 2, key & 3, t[2, j], (t.sum(axis=0)[:, None] - 1 - p1 - p2)[j, r], max_d2 - p2[j, r], r)
+    atoms = (key >> 2, key & 3, t[2, j], (t.sum(axis=0, dtype=np.int32)[:, None] - 1 - p1 - p2)[j, r],
+             max_d2 - p2[j, r], r)
+    del P, key, fresh
     atom, a3, a4, da3, da4, count = (
         np.concatenate(x) for x in zip(_line_runs(*atoms, max_a4), _column_runs(*atoms, max_a4)))
-    run = np.flatnonzero(count > 0)
-    atom, a3, a4, da3, da4 = atom[run], a3[run], a4[run], da3[run], da4[run]
+    del atoms
     j, r = j[atom], r[atom]
     alpha1, alpha2, k1, k2 = _C1[3, r], _C2[3, r], _K1[r], _K2[r]
     start = np.stack((j, a3, a4, p1[j, r] + alpha1 * a3 + k1 * a4, p2[j, r] + alpha2 * a3 + k2 * a4),
                      dtype=np.int32)
     step = np.stack((np.zeros_like(a3), da3, da4, alpha1 * da3 + k1 * da4, alpha2 * da3 + k2 * da4))
-    return _Runs(start, step, count[run])
+    return _Runs(start, step, count)
 
 
 def _candidates_reference(t: np.ndarray, max_a4: int, max_d2: int) -> _Runs:
@@ -488,45 +519,28 @@ def _prefix_singletons(hits: tuple[np.ndarray, np.ndarray], c: np.ndarray, keep:
     return keep
 
 
-def _gcd_products(t: np.ndarray, max_a4: int) -> np.ndarray:
-    """At [j, a3], for a3 = 0..max_a4: the product of the gcds of the
-    three-weight subsets of (a0, a1, a2, a3) that a four-weight subset with
-    a4 keeps, or 0 where gcd(a0, a1, a2, a3) > 1.  So (a0, ..., a4) meets
-    every four-weight gcd condition exactly when a4 is coprime to it: a4
-    shares a prime with one of the gcds exactly when it shares one with
-    their product, and gcd(a4, 0) = a4 > 1, as a4 >= a3 > 1 there."""
-    a3 = np.arange(max_a4 + 1)
-    prod = np.ones((t.shape[1], max_a4 + 1), dtype=np.int64)
-    for kept in _QUADRUPLES:
-        g = np.gcd.reduce(t[[e for e in kept if e < 3]], axis=0)[:, None]
-        if 3 in kept:
-            g = np.gcd(g, a3)
-        if 4 in kept:
-            prod *= g
-        else:
-            prod[g > 1] = 0
-    return prod
-
-
 def _solve_shaped_chunk(max_a4: int, max_d2: int, a0: int,
                         generator: Callable) -> list[tuple[int, ...]]:
     sols = []
-    size = max(1, _BATCH_CELLS >> 13)
+    # 128 triples, fewer where their residue classes take more to build,
+    # but not fewer than 64 (see _BATCH_CELLS).
+    size = max(1, _BATCH_CELLS >> 12, min(_BATCH_CELLS >> 11, _BATCH_CELLS // (16 * (max_a4 + 1))))
+    quadruples = np.array(_QUADRUPLES)
     for t in _sorted_tuples(max_a4, a0, 3, size):
         # A short batch is filled up with triples beyond the box, which have
         # no candidates, so that every batch has one size.
         t = np.concatenate((t, np.full((3, size - t.shape[1]), max_a4 + 1)), axis=1)
-        hits, g_prod = (t.astype(np.int32), _residue_classes(t)), _gcd_products(t, max_a4)
         found = set()
+        hits = t.astype(np.int32), _residue_classes(t)
         for c in generator(t, max_a4, max_d2).slices(_BATCH_CELLS >> 6):
             # Every pattern has d2 > a4 and d1 >= a0 + a3 > a3, so the one
             # linear cone left to rule out is d1 = a4 (c[3] = c[2]); the
             # filler columns of zeros fail it too.  It and singleton 0 leave
-            # few points for singletons 1 and 2.
+            # few points for singletons 1, 2 and the four-weight gcds.
             c = _filled(c[:, _prefix_singletons(hits, c, c[3] != c[2], (0,))])
             c = c[:, _prefix_singletons(hits, c, c[3] != c[2], (1, 2))]
-            j, a3, a4 = c[:3]
-            found.update(zip(*c[:, np.gcd(g_prod[j, a3], a4) == 1].tolist()))
+            w = np.concatenate((hits[0][:, c[0]], c[1:3]))
+            found.update(zip(*c[:, (np.gcd.reduce(w[quadruples], axis=1) == 1).all(axis=0)].tolist()))
         triples = list(map(tuple, t.T.tolist()))
         for j, a3, a4, d1, d2 in sorted(found):
             w = triples[j] + (a3, a4)

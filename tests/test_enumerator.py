@@ -513,17 +513,53 @@ def test_shaped_chunk_memory_stays_within_the_stated_budget():
         assert peak <= 1 << 20, (a0, peak)
 
 
+def test_shaped_chunk_memory_stays_within_the_stated_budget_at_the_full_bound():
+    # The same at the paper's bound (500, 1000), on the chunk a0 = 450,
+    # whose moduli reach 500: there a batch holds 64 triples, and building
+    # their residue classes takes most of the budget.
+    _solve_shaped_chunk(500, 1000, 450, _candidates_fast)
+    tracemalloc.start()
+    try:
+        _solve_shaped_chunk(500, 1000, 450, _candidates_fast)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20, peak
+
+
+def test_runs_expand_in_slices_of_at_most_size_points_in_run_order():
+    # Runs with no points and a run longer than every slice but the
+    # largest: each slice holds at most ``size`` points, filled up with
+    # columns of zeros to a multiple of 128, and the slices joined are the
+    # points one run after another.  Every point has a3 >= 1, so the
+    # filler tells itself apart.
+    count = np.array([3, 0, 5_000, 1, 0, 7, 130, 0])
+    start = np.array([[j, 1 + j, 2 * j + 1, 3 * j + 5, 40 - j] for j in range(count.size)], dtype=np.int32).T
+    step = np.array([[0, j % 3, 1, j, 2] for j in range(count.size)], dtype=np.int32).T
+    expected = [tuple((start[:, i] + s * step[:, i]).tolist()) for i in range(count.size) for s in range(count[i])]
+    runs = enumerator._Runs(start, step, count)
+    assert len(runs) == len(expected) == 5_141
+    for size in (1, 7, 4096):
+        joined = []
+        for c in runs.slices(size):
+            points = int((c[1] != 0).sum())
+            assert c.dtype == np.int32 and c.shape[1] % 128 == 0, size
+            assert 0 < points <= size and not c[:, points:].any(), size
+            joined.extend(map(tuple, c[:, :points].T.tolist()))
+        assert joined == expected, size
+
+
 def test_shaped_chunk_result_does_not_depend_on_batch_size(monkeypatch):
-    # Batches of 1, 3 and 32 triples (8192 cells a triple), short ones
-    # filled up with triples beyond the box, expanded in slices of 128, 384
-    # and 4096 points (64 cells a point), give the same solutions; only
-    # their order within a chunk may differ.
+    # Batches of 1, 3 and 128 triples (2048 cells a triple at (20, 40)),
+    # short ones filled up with triples beyond the box, expanded in slices
+    # of 32, 96 and 4096 points (64 cells a point), give the same
+    # solutions; only their order within a chunk may differ.
     def chunks():
         return [sorted(_solve_shaped_chunk(20, 40, a0, _candidates_fast)) for a0 in range(1, 21)]
 
     default = chunks()
     assert sum(map(len, default)) == 183
-    for cells in (8192, 3 * 8192):
+    for cells in (2048, 3 * 2048):
         monkeypatch.setattr(enumerator, "_BATCH_CELLS", cells)
         assert chunks() == default, cells
 
@@ -572,8 +608,8 @@ def test_stage_counts_at_20_40_are_pinned(monkeypatch):
     res = enumerate_solutions(Bounds(20, 40), jobs=1)
     assert len(res.solutions) == 183
     assert counts["_candidates_fast"][1] == 88_245
-    # 59 batches of 32 triples, the short ones filled up beyond the box.
-    assert counts["_candidates_fast"][::2] == [59, 1_888]
+    # 25 batches of 128 triples, the short ones filled up beyond the box.
+    assert counts["_candidates_fast"][::2] == [25, 3_200]
     assert counts["_prefix_singletons"] == {(0,): [88_043, 50_948], (1, 2): [50_948, 13_289]}
     # The gcd-product test and the drop of repeats leave 4,404 points.
     assert counts["_singleton_ok"] == [4_404, 3_026]

@@ -5,9 +5,11 @@ candidates checks that the short-circuit verdict reads every condition that
 rejects a candidate alone.  The shaped chunk loop's singleton masks never
 drop what the definition admits, and its generator, on weights up to 500,
 never drops a candidate that meets the singleton condition at coordinate
-3."""
+3, nor, by bounding the slopes of its lines, a line that holds a point."""
 
 from itertools import combinations_with_replacement
+from math import gcd
+from unittest import mock
 
 import numpy as np
 from definition import singleton
@@ -16,7 +18,13 @@ from hypothesis import strategies as st
 
 from wcidp.classifier import Candidate, classify, del_pezzo_quick
 from wcidp.cli import _load_sporadic_asset
+from wcidp import enumerator
 from wcidp.enumerator import (
+    _ABOVE,
+    _BETA,
+    _C2,
+    _K2,
+    _M,
     _candidates_fast,
     _candidates_reference,
     _prefix_singletons,
@@ -161,3 +169,56 @@ def test_generator_keeps_every_candidate_that_meets_singleton_3(case):
         for j, a3, a4, d1, d2 in piece.T.tolist():
             if a3 and _singleton_ok((*triple, a3, a4), d1, d2, 3):
                 assert (j, a3, a4, d1, d2) in fast, (triple, a3, a4, d1, d2, max_a4, max_d2)
+
+
+def runs_of_the_old_slope_range(P, k, a2, b0, room, r, max_a4):
+    """The non-empty runs of the atoms a3 | P + k*a4 with k >= 1, as
+    ``_line_runs`` gives them, found on every line whose slope u lies in
+    the range it took before its slope bounds: from k + min(0, ceil(P/a2))
+    up to the amplitude bound.  Each line is scanned over a3 = a2..max_a4
+    for its points."""
+    runs = []
+    for i in np.flatnonzero(k).tolist():
+        P_i, k_i, a2_i, b0_i, room_i, r_i = (int(x[i]) for x in (P, k, a2, b0, room, r))
+        m, beta, k2, alpha2, above = int(_M[r_i]), int(_BETA[r_i]), int(_K2[r_i]), int(_C2[3, r_i]), int(_ABOVE[r_i])
+        first = k_i + min(0, -(-P_i // a2_i))
+        last = (k_i * max(beta, 0) * a2_i + max(k_i * b0_i + m * P_i, 0)) // (m * a2_i)
+        a3 = np.arange(a2_i, max_a4 + 1)
+        for u in range(first, last + 1):
+            a4 = (u * a3 - P_i) // k_i
+            on = ((u * a3 - P_i) % k_i == 0) & (a3 + above <= a4) & (a4 <= max_a4)
+            on &= (m * a4 <= b0_i + beta * a3) & (k2 * a4 + alpha2 * a3 <= room_i)
+            at = np.flatnonzero(on)
+            if at.size:
+                step = k_i // gcd(u, k_i)
+                runs.append((i, int(a3[at[0]]), int(a4[at[0]]), step, u * step // k_i, at.size))
+    return runs
+
+
+@st.composite
+def slope_cases(draw):
+    """A box up to (500, 1000) and a sorted triple within it."""
+    max_a4 = draw(st.integers(1, 500))
+    a2 = draw(st.integers(1, max_a4))
+    a1 = draw(st.integers(1, a2))
+    return (draw(st.integers(1, a1)), a1, a2), max_a4, draw(st.integers(2, 1000))
+
+
+@FIXED
+@given(slope_cases())
+def test_slope_bounds_keep_every_non_empty_run(case):
+    # The bounds on the slopes u of an atom's lines drop only lines
+    # without a point: the kernel's line runs are exactly those of the old
+    # range of slopes, in order.
+    triple, max_a4, max_d2 = case
+    line_runs, seen = enumerator._line_runs, []
+
+    def spy(*atoms):
+        got = line_runs(*atoms)
+        seen.append(([tuple(run) for run in zip(*(x.tolist() for x in got))], runs_of_the_old_slope_range(*atoms)))
+        return got
+
+    with mock.patch.object(enumerator, "_line_runs", spy):
+        _candidates_fast(np.array(triple)[:, None], max_a4, max_d2)
+    [(got, expected)] = seen
+    assert got == expected, (triple, max_a4, max_d2)
