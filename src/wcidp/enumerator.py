@@ -47,11 +47,13 @@ the given bounds whose verdict is del Pezzo:
   every candidate it gives that meets singleton 3 must be among the
   kernel's points, and tests pin those points by hash.  The kernel returns
   runs of points, which the chunk loop expands with ``np.repeat`` in
-  slices of at most 4096 points and filters cheapest first, as numpy
-  masks: the linear cone d1 = a4, the singleton conditions at coordinates
-  0, 1 and 2 (``_prefix_singletons``), then the four-weight gcd conditions
-  on the few survivors.  A point comes once for each atom and row that
-  hold it, and one set drops the repeats.  Then, one survivor at a time,
+  slices of at most 4096 points and filters as numpy masks, the most
+  selective first: the linear cone d1 = a4 and the singleton condition at
+  coordinate 1 on each slice; then, on their survivors packed by 2048
+  points, the singleton conditions at coordinates 2 and 0
+  (``_prefix_singletons``) and the four-weight gcd conditions.  A point
+  comes once for each atom and row that hold it, and one set drops the
+  repeats.  Then, one survivor at a time,
   the singleton condition at coordinate 3 and ``del_pezzo_quick`` decide.
   A batch holds 128 triples, 64 at the paper's bound, and needs under
   1 MiB (see ``_BATCH_CELLS``).
@@ -163,17 +165,21 @@ class EnumerationResult:
 # held in about a dozen arrays of 4-byte entries.  So a batch of
 # _BATCH_CELLS >> 11 = 128 triples, expanded in slices of
 # _BATCH_CELLS >> 6 = 4096 points (64 cells a point: five int32
-# coordinates and the masks' temporaries), needs under 1 MiB.  Building the
-# batch's residue classes (``_residue_classes``) takes 27 bytes for each
-# of a triple's three moduli and each residue up to max_a4, under
-# 16 * (max_a4 + 1) cells a triple; where that exceeds 2048 a batch holds
-# fewer triples, but never fewer than _BATCH_CELLS >> 12 = 64, as the
-# kernel's fixed cost of a call, about 0.3 ms, then dominates.  Under
-# tracemalloc, every chunk of (40, 80) peaks at most at 654 kB (a0 = 1),
-# and the (500, 1000) chunks a0 = 350, 420 and 450, in batches of 64
-# triples whose residue classes alone take 873 kB to build, at 1,045, 985
-# and 984 kB; tests hold every (40, 80) chunk and a0 = 450 under 1 MiB.  At
-# (40, 80) batches of 256 triples peaked at 1.26 MB, and batches of 32
+# coordinates and the masks' temporaries), whose survivors of the first
+# mask are packed by _BATCH_CELLS >> 7 = 2048 points, needs under 1 MiB.
+# A triple's lines grow with the range of a3, so its kernel takes up to
+# about 16 * (max_a4 + 1) cells (15 kB a triple at (500, 1000) a0 = 350);
+# where that exceeds 2048 a batch holds fewer triples, but never fewer
+# than _BATCH_CELLS >> 12 = 64, as the kernel's fixed cost of a call,
+# about 0.3 ms, then dominates.  The batch's residue classes
+# (``_residue_classes``) take one byte for each of a triple's three moduli
+# and each residue up to max_a4, 96 kB for 64 triples at the bound; they
+# are built after the kernel ran.  Under tracemalloc, every chunk of
+# (40, 80) peaks at most at 647 kB (a0 = 1), and the (500, 1000) chunks
+# a0 = 350, 420 and 450, in batches of 64 triples, at 966, 667 and
+# 587 kB; at a0 = 350 that is the kernel's own peak.  Tests hold every
+# (40, 80) chunk and a0 = 450 under 1 MiB, and a0 = 350 under WCIDP_SLOW.
+# At (40, 80) batches of 256 triples peaked at 1.26 MB, and batches of 32
 # made 378 kernel calls where 128 make 112, and took 0.59 against 0.46 s.
 _BATCH_CELLS = 1 << 18
 
@@ -284,34 +290,42 @@ class _Runs:
         return int(self.count.sum())
 
     def slices(self, size: int) -> Iterator[np.ndarray]:
-        """The points in run order as int32 (5, m) arrays of ``size``
-        points (the last may hold fewer), each ``_filled``.  Two binary
-        searches find the runs a slice meets, the first and the last are
-        cut to it, and ``np.repeat`` expands them."""
+        """The points in run order as int32 (5, m) arrays of at most
+        ``size`` points, each a buffer of its own filled up with columns of
+        zeros to a multiple of 128.  Two binary searches find the runs a
+        slice meets, and the first and the last are cut to it.  ``np.repeat``
+        writes the runs' starts into the buffer, and adds their steps, times
+        each point's place in its run, at coordinates 1..4 only: coordinate
+        0, the column of the batch, is one value on a run.
+
+        numpy keeps up to seven freed buffers of every size under 1 KiB for
+        reuse, and the allocator what larger ones leave, so arrays of as many
+        sizes as the data gives keep memory that a handful of sizes does
+        not."""
         ends, total = self.count.cumsum(), len(self)
         for lo in range(0, total, size):
-            hi = min(lo + size, total)
-            first, last = np.searchsorted(ends, (lo, hi - 1), side="right").tolist()
-            count = self.count[first:last + 1].copy()
-            skip = np.zeros(count.size, dtype=np.int32)
-            skip[0] = lo - (ends[first] - count[0])
-            count[0] -= skip[0]
-            count[-1] -= ends[last] - hi
-            at, s = _ranges(skip, count)
-            at += first
-            yield _filled(self.start[:, at] + self.step[:, at] * s)
-
-
-def _filled(c: np.ndarray) -> np.ndarray:
-    """The (5, m) columns c as int32, filled up with columns of zeros to a
-    multiple of 128.
-
-    numpy keeps up to seven freed buffers of every size under 1 KiB for
-    reuse, and the allocator what larger ones leave, so arrays of as many
-    sizes as the data gives keep memory that a handful of sizes does not."""
-    out = np.zeros((5, -(-c.shape[1] // 128) * 128), dtype=np.int32)
-    out[:, :c.shape[1]] = c
-    return out
+            n = min(size, total - lo)
+            first, last = np.searchsorted(ends, (lo, lo + n - 1), side="right").tolist()
+            count = self.count[first:last + 1].astype(np.int32)
+            skip = lo - (ends[first] - count[0])
+            count[0] -= skip
+            count[-1] -= ends[last] - lo - n
+            # A point's place in its run is its place in the slice less that
+            # of its run's first point, which the cut moves back by ``skip``.
+            before = count.cumsum(dtype=np.int32)
+            before -= count
+            before[0] -= skip
+            s = np.arange(n, dtype=np.int32)
+            s -= np.repeat(before, count)
+            c = np.zeros((5, -(-n // 128) * 128), dtype=np.int32)
+            c[:, :n] = np.repeat(self.start[:, first:last + 1], count, axis=1)
+            step = np.repeat(self.step[1:, first:last + 1], count, axis=1)
+            step *= s
+            c[1:, :n] += step
+            # Free the temporaries before the next slice is made, while this
+            # one is still held.
+            del s, step
+            yield c
 
 
 def _ranges(first: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -466,11 +480,12 @@ def _candidates_reference(t: np.ndarray, max_a4: int, max_d2: int) -> _Runs:
 
 # The singleton condition at one coordinate i, read from the hits of d1 and
 # d2: bit e < 5 of a hit byte says that d - a_e is a non-negative multiple
-# of a_i, and bit 5 that a_i divides d.  _SINGLETON_OK[h1, h2] holds when a_i
-# divides d1 or d2, or some e != f has a hit e at d1 and a hit f at d2.
+# of a_i, and bit 5 that a_i divides d.  _SINGLETON_OK[h1 << 6 | h2] holds
+# when a_i divides d1 or d2, or some e != f has a hit e at d1 and a hit f at
+# d2.
 _SINGLETON_OK = np.array([
-    [bool((h1 | h2) & 32) or any(h1 >> e & h2 >> f & 1 for e in range(5) for f in range(5) if e != f)
-     for h2 in range(64)] for h1 in range(64)
+    bool((h1 | h2) & 32) or any(h1 >> e & h2 >> f & 1 for e in range(5) for f in range(5) if e != f)
+    for h1 in range(64) for h2 in range(64)
 ])
 _HIT_BITS = (1 << np.arange(5)).astype(np.uint8)
 
@@ -478,13 +493,14 @@ _HIT_BITS = (1 << np.arange(5)).astype(np.uint8)
 def _residue_classes(w: np.ndarray) -> np.ndarray:
     """The residue classes of the weights w, (k, n), modulo each of them: a
     (k, n, span) uint8 table, span the largest weight, whose [i, j, r] has
-    bit e when w[e, j] = r (mod w[i, j]), and bit 5 at r = 0.  A class's
-    bits are summed, since its weights' bits differ."""
+    bit e when w[e, j] mod w[i, j] is r, and bit 5 at r = 0.  Each weight's
+    bit is set by one scatter: it hits one residue of each modulus."""
     k, n = w.shape
     span = int(w.max())
     rows = np.arange(0, k * n * span, span).reshape(k, n)
-    at = rows + w[:, None, :] % w
-    classes = np.bincount(at.ravel(), np.repeat(_HIT_BITS[:k], k * n), k * n * span).astype(np.uint8)
+    classes = np.zeros(k * n * span, dtype=np.uint8)
+    for e in range(k):
+        classes[rows + w[e] % w] |= _HIT_BITS[e]
     classes[rows] |= 32
     return classes.reshape(k, n, span)
 
@@ -505,44 +521,85 @@ def _prefix_singletons(hits: tuple[np.ndarray, np.ndarray], c: np.ndarray, keep:
     moduli, table = hits
     j, a3, a4, d1, d2 = c
     at = j * table.shape[2]
-    a4_hit = np.where(a4 <= d1, np.uint8(16), np.uint8(0))
+    a4_hit = (a4 <= d1).view(np.uint8) << 4
     for i in coords:
-        m = moduli[i][j]
+        m = moduli[i].take(j)
         r1, r2, r3, r4 = d1 % m, d2 % m, a3 % m, a4 % m
-        h1 = table[i].ravel()[at + r1]
+        classes = table[i].ravel()
+        h1 = classes.take(at + r1)
         h1 |= (r1 == r3).view(np.uint8) << 3
         h1 |= (r1 == r4) * a4_hit
-        h2 = table[i].ravel()[at + r2]
+        h2 = classes.take(at + r2)
         h2 |= (r2 == r3).view(np.uint8) << 3
         h2 |= (r2 == r4).view(np.uint8) << 4
-        keep &= _SINGLETON_OK[h1, h2]
+        verdict = np.left_shift(h1, 6, dtype=np.uint16)
+        verdict |= h2
+        keep &= _SINGLETON_OK.take(verdict)
     return keep
+
+
+def _packed(pieces: Iterator[np.ndarray], size: int) -> Iterator[np.ndarray]:
+    """The columns of the (5, m) pieces in order, packed into one int32
+    buffer of ``size`` columns, which is yielded each time it is full and
+    refilled after.  What is left at the end comes in the buffer's first
+    columns up to the next multiple of 128, filled up with zeros.  So the
+    stages after it make few calls, on arrays of few sizes (see
+    ``_Runs.slices``)."""
+    buf, n = np.zeros((5, size), dtype=np.int32), 0
+    for c in pieces:
+        while c.shape[1]:
+            k = min(size - n, c.shape[1])
+            buf[:, n:n + k] = c[:, :k]
+            n, c = n + k, c[:, k:]
+            if n == size:
+                yield buf
+                n = 0
+    if n:
+        buf[:, n:] = 0
+        yield buf[:, :-(-n // 128) * 128]
+
+
+def _masked_points(t: np.ndarray, runs: _Runs) -> set[tuple[int, ...]]:
+    """The points of the runs of a batch of triples t, (3, n), that the
+    numpy masks keep, each once.
+
+    Every pattern has d2 > a4 and d1 >= a0 + a3 > a3, so the one linear
+    cone left to rule out is d1 = a4 (c[3] = c[2]); the filler columns of
+    zeros fail it too.  Singleton 1 keeps the fewest points (21 % of those
+    past the cone at (40, 80), against 30 % for singleton 2 and 41 % for
+    singleton 0), so it goes first, on every slice.  Its survivors are
+    packed into buffers of _BATCH_CELLS >> 7 = 2048 points, and only those
+    meet singletons 2 and 0 and the four-weight gcds.  The residue classes
+    are built after the kernel ran, so that they and the kernel's arrays
+    are never held at once."""
+    found = set()
+    hits = t.astype(np.int32), _residue_classes(t)
+    quadruples = np.array(_QUADRUPLES)
+
+    # Through ``map``, unlike a generator expression, no slice is held once
+    # it is masked, while the next one is made.
+    def passed(c):
+        return c[:, _prefix_singletons(hits, c, c[3] != c[2], (1,))]
+
+    for c in _packed(map(passed, runs.slices(_BATCH_CELLS >> 6)), _BATCH_CELLS >> 7):
+        c = c[:, _prefix_singletons(hits, c, c[3] != c[2], (2, 0))]
+        w = np.concatenate((hits[0][:, c[0]], c[1:3]))
+        found.update(zip(*c[:, (np.gcd.reduce(w[quadruples], axis=1) == 1).all(axis=0)].tolist()))
+    return found
 
 
 def _solve_shaped_chunk(max_a4: int, max_d2: int, a0: int,
                         generator: Callable) -> list[tuple[int, ...]]:
     sols = []
-    # 128 triples, fewer where their residue classes take more to build,
-    # but not fewer than 64 (see _BATCH_CELLS).
+    # 128 triples, fewer where the kernel's lines are longer, but not fewer
+    # than 64 (see _BATCH_CELLS).
     size = max(1, _BATCH_CELLS >> 12, min(_BATCH_CELLS >> 11, _BATCH_CELLS // (16 * (max_a4 + 1))))
-    quadruples = np.array(_QUADRUPLES)
     for t in _sorted_tuples(max_a4, a0, 3, size):
         # A short batch is filled up with triples beyond the box, which have
         # no candidates, so that every batch has one size.
         t = np.concatenate((t, np.full((3, size - t.shape[1]), max_a4 + 1)), axis=1)
-        found = set()
-        hits = t.astype(np.int32), _residue_classes(t)
-        for c in generator(t, max_a4, max_d2).slices(_BATCH_CELLS >> 6):
-            # Every pattern has d2 > a4 and d1 >= a0 + a3 > a3, so the one
-            # linear cone left to rule out is d1 = a4 (c[3] = c[2]); the
-            # filler columns of zeros fail it too.  It and singleton 0 leave
-            # few points for singletons 1, 2 and the four-weight gcds.
-            c = _filled(c[:, _prefix_singletons(hits, c, c[3] != c[2], (0,))])
-            c = c[:, _prefix_singletons(hits, c, c[3] != c[2], (1, 2))]
-            w = np.concatenate((hits[0][:, c[0]], c[1:3]))
-            found.update(zip(*c[:, (np.gcd.reduce(w[quadruples], axis=1) == 1).all(axis=0)].tolist()))
         triples = list(map(tuple, t.T.tolist()))
-        for j, a3, a4, d1, d2 in sorted(found):
+        for j, a3, a4, d1, d2 in sorted(_masked_points(t, generator(t, max_a4, max_d2))):
             w = triples[j] + (a3, a4)
             if _singleton_ok(w, d1, d2, 3) and del_pezzo_quick(w, d1, d2):
                 sols.append((*w, d1, d2))

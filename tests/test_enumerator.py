@@ -527,6 +527,59 @@ def test_shaped_chunk_memory_stays_within_the_stated_budget_at_the_full_bound():
     assert peak <= 1 << 20, peak
 
 
+@pytest.mark.skipif(not os.environ.get("WCIDP_SLOW"),
+                    reason="the chunk takes about 7 s under tracemalloc; set WCIDP_SLOW=1")
+def test_shaped_chunk_memory_stays_within_the_stated_budget_at_the_bound_s_largest_measured_chunk():
+    # a0 = 350 of (500, 1000), whose kernel peaks highest of the chunks
+    # measured: there the residue classes must not be held beside it.
+    _solve_shaped_chunk(500, 1000, 350, _candidates_fast)
+    tracemalloc.start()
+    try:
+        _solve_shaped_chunk(500, 1000, 350, _candidates_fast)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20, peak
+
+
+@pytest.mark.parametrize("k", [3, 5])
+def test_residue_classes_follow_their_definition(k):
+    # [i, j, r] has bit e when w[e, j] mod w[i, j] is r, and bit 5 at
+    # r = 0; the table is as wide as the largest weight.  Equal weights, and
+    # weights that divide one another, put several bits on one residue.
+    rng = random.Random(k)
+    for top in (1, 7, 60):
+        n = rng.randint(1, 9)
+        w = np.array([[rng.randint(1, top) for _ in range(n)] for _ in range(k)])
+        table = _residue_classes(w)
+        span = int(w.max())
+        assert table.dtype == np.uint8 and table.shape == (k, n, span)
+        for i in range(k):
+            for j in range(n):
+                for r in range(span):
+                    bits = sum(1 << e for e in range(k) if w[e, j] % w[i, j] == r) | (32 if r == 0 else 0)
+                    assert table[i, j, r] == bits, (w[:, j].tolist(), i, r)
+
+
+def test_packed_buffers_keep_every_column_in_order():
+    # Pieces of no columns, of fewer and of more than a buffer: every
+    # buffer but the last holds ``size`` columns, the last is cut to a
+    # multiple of 128 and filled up with zeros, and the buffers joined are
+    # the pieces' columns one after another.  A yielded buffer is refilled
+    # after, so each is copied before the next is asked for.
+    widths = [0, 5, 300, 0, 1, 700, 128, 2]
+    pieces = [np.arange(1, 5 * m + 1, dtype=np.int32).reshape(m, 5).T + 1000 * p for p, m in enumerate(widths)]
+    expected = np.concatenate(pieces, axis=1)
+    for size in (128, 256, 2048):
+        buffers = [b.copy() for b in enumerator._packed(iter(pieces), size)]
+        assert [b.shape[1] for b in buffers[:-1]] == [size] * (len(buffers) - 1), size
+        last = expected.shape[1] - size * (len(buffers) - 1)
+        assert 0 < last <= size and buffers[-1].shape[1] == -(-last // 128) * 128, size
+        joined = np.concatenate(buffers, axis=1)
+        assert joined.dtype == np.int32 and not joined[:, expected.shape[1]:].any(), size
+        assert (joined[:, :expected.shape[1]] == expected).all(), size
+
+
 def test_runs_expand_in_slices_of_at_most_size_points_in_run_order():
     # Runs with no points and a run longer than every slice but the
     # largest: each slice holds at most ``size`` points, filled up with
@@ -541,7 +594,10 @@ def test_runs_expand_in_slices_of_at_most_size_points_in_run_order():
     assert len(runs) == len(expected) == 5_141
     for size in (1, 7, 4096):
         joined = []
-        for c in runs.slices(size):
+        # Every slice is read after all were made, so a slice that shared
+        # its buffer with another fails: a caller may hold a slice while it
+        # asks for the next.
+        for c in list(runs.slices(size)):
             points = int((c[1] != 0).sum())
             assert c.dtype == np.int32 and c.shape[1] % 128 == 0, size
             assert 0 < points <= size and not c[:, points:].any(), size
@@ -552,8 +608,9 @@ def test_runs_expand_in_slices_of_at_most_size_points_in_run_order():
 def test_shaped_chunk_result_does_not_depend_on_batch_size(monkeypatch):
     # Batches of 1, 3 and 128 triples (2048 cells a triple at (20, 40)),
     # short ones filled up with triples beyond the box, expanded in slices
-    # of 32, 96 and 4096 points (64 cells a point), give the same
-    # solutions; only their order within a chunk may differ.
+    # of 32, 96 and 4096 points (64 cells a point) whose survivors of the
+    # first mask are packed by 16, 48 and 2048, give the same solutions;
+    # only their order within a chunk may differ.
     def chunks():
         return [sorted(_solve_shaped_chunk(20, 40, a0, _candidates_fast)) for a0 in range(1, 21)]
 
@@ -590,10 +647,10 @@ def test_stage_counts_at_20_40_are_pinned(monkeypatch):
 
     count(enumerator, "_candidates_fast", batch=True)
     # The prefix-singleton masks narrow the mask of the candidates still in
-    # play, once for coordinate 0 and once for 1 and 2: count how many it
+    # play, once for coordinate 1 and once for 2 and 0: count how many it
     # held before and after, for each.
     singletons = enumerator._prefix_singletons
-    masked = counts["_prefix_singletons"] = {(0,): [0, 0], (1, 2): [0, 0]}
+    masked = counts["_prefix_singletons"] = {(1,): [0, 0], (2, 0): [0, 0]}
 
     def narrowed(hits, c, keep, coords):
         masked[coords][0] += int(keep.sum())
@@ -610,8 +667,8 @@ def test_stage_counts_at_20_40_are_pinned(monkeypatch):
     assert counts["_candidates_fast"][1] == 88_245
     # 25 batches of 128 triples, the short ones filled up beyond the box.
     assert counts["_candidates_fast"][::2] == [25, 3_200]
-    assert counts["_prefix_singletons"] == {(0,): [88_043, 50_948], (1, 2): [50_948, 13_289]}
-    # The gcd-product test and the drop of repeats leave 4,404 points.
+    assert counts["_prefix_singletons"] == {(1,): [88_043, 33_069], (2, 0): [33_069, 13_289]}
+    # The four-weight gcd test and the drop of repeats leave 4,404 points.
     assert counts["_singleton_ok"] == [4_404, 3_026]
     assert counts["del_pezzo_quick"] == [3_026, 183]
     assert counts["is_well_formed"] == [3_026, 295]
