@@ -47,14 +47,15 @@ the given bounds whose verdict is del Pezzo:
   every candidate it gives that meets singleton 3 must be among the
   kernel's points, and tests pin those points by hash.  The kernel returns
   runs of points, which the chunk loop expands with ``np.repeat`` in
-  slices of at most 4096 points and filters as numpy masks, the most
-  selective first: the linear cone d1 = a4 and the singleton condition at
-  coordinate 1 on each slice; then, on their survivors packed by 2048
-  points, the singleton conditions at coordinates 2 and 0
-  (``_prefix_singletons``) and the four-weight gcd conditions.  A point
-  comes once for each atom and row that hold it, and one set drops the
-  repeats.  Then, one survivor at a time,
-  the singleton condition at coordinate 3 and ``del_pezzo_quick`` decide.
+  slices of whole runs, at most 4096 points unless one run alone is
+  longer, and filters as numpy masks, the most selective first: the
+  linear cone d1 = a4 and the singleton condition at coordinate 1 on each
+  slice; then, on their survivors packed by 2048 points, the singleton
+  conditions at coordinates 2 and 0 (``_prefix_singletons``) and the
+  four-weight gcd conditions.  A point comes once for each atom and row
+  that hold it, and one set drops the repeats.  Then, one survivor at a
+  time, the singleton condition at coordinate 3 and ``del_pezzo_quick``
+  decide.
   A batch holds 128 triples, 64 at the paper's bound, and needs under
   1 MiB (see ``_BATCH_CELLS``).
 
@@ -163,10 +164,12 @@ class EnumerationResult:
 # Shaped mode charges a weight triple 2048 cells (4 KiB): the atoms of its
 # fifteen pattern rows, their lines and the runs of points on them, each
 # held in about a dozen arrays of 4-byte entries.  So a batch of
-# _BATCH_CELLS >> 11 = 128 triples, expanded in slices of
-# _BATCH_CELLS >> 6 = 4096 points (64 cells a point: five int32
-# coordinates and the masks' temporaries), whose survivors of the first
-# mask are packed by _BATCH_CELLS >> 7 = 2048 points, needs under 1 MiB.
+# _BATCH_CELLS >> 11 = 128 triples, expanded in slices of whole runs of at
+# most _BATCH_CELLS >> 6 = 4096 points (64 cells a point: five int32
+# coordinates and the masks' temporaries; a run has at most max_a4 points,
+# and one longer than a slice makes a slice alone), whose survivors of the
+# first mask are packed by _BATCH_CELLS >> 7 = 2048 points, needs under
+# 1 MiB.
 # A triple's lines grow with the range of a3, so its kernel takes up to
 # about 16 * (max_a4 + 1) cells (15 kB a triple at (500, 1000) a0 = 350);
 # where that exceeds 2048 a batch holds fewer triples, but never fewer
@@ -175,9 +178,9 @@ class EnumerationResult:
 # (``_residue_classes``) take one byte for each of a triple's three moduli
 # and each residue up to max_a4, 96 kB for 64 triples at the bound; they
 # are built after the kernel ran.  Under tracemalloc, every chunk of
-# (40, 80) peaks at most at 647 kB (a0 = 1), and the (500, 1000) chunks
-# a0 = 350, 420 and 450, in batches of 64 triples, at 966, 667 and
-# 587 kB; at a0 = 350 that is the kernel's own peak.  Tests hold every
+# (40, 80) peaks at most at 644 kB (a0 = 1), and the (500, 1000) chunks
+# a0 = 350, 420 and 450, in batches of 64 triples, at 965, 663 and
+# 582 kB; at a0 = 350 that is the kernel's own peak.  Tests hold every
 # (40, 80) chunk and a0 = 450 under 1 MiB, and a0 = 350 under WCIDP_SLOW.
 # At (40, 80) batches of 256 triples peaked at 1.26 MB, and batches of 32
 # made 378 kernel calls where 128 make 112, and took 0.59 against 0.46 s.
@@ -290,38 +293,30 @@ class _Runs:
         return int(self.count.sum())
 
     def slices(self, size: int) -> Iterator[np.ndarray]:
-        """The points in run order as int32 (5, m) arrays of at most
-        ``size`` points, each a buffer of its own filled up with columns of
-        zeros to a multiple of 128.  Two binary searches find the runs a
-        slice meets, and the first and the last are cut to it.  ``np.repeat``
-        writes the runs' starts into the buffer, and adds their steps, times
-        each point's place in its run, at coordinates 1..4 only: coordinate
-        0, the column of the batch, is one value on a run.
-
-        numpy keeps up to seven freed buffers of every size under 1 KiB for
-        reuse, and the allocator what larger ones leave, so arrays of as many
-        sizes as the data gives keep memory that a handful of sizes does
-        not."""
-        ends, total = self.count.cumsum(), len(self)
-        for lo in range(0, total, size):
-            n = min(size, total - lo)
-            first, last = np.searchsorted(ends, (lo, lo + n - 1), side="right").tolist()
-            count = self.count[first:last + 1].astype(np.int32)
-            skip = lo - (ends[first] - count[0])
-            count[0] -= skip
-            count[-1] -= ends[last] - lo - n
+        """The points in run order as (5, m) arrays, in the dtype of
+        ``start``, each of whole runs: at most ``size`` points, unless one
+        run alone is longer, and never none.  ``np.repeat`` writes the runs'
+        starts, and adds their steps, times each point's place in its run,
+        at coordinates 1..4 only: coordinate 0, the column of the batch, is
+        one value on a run."""
+        ends, done = self.count.cumsum(), 0
+        while done < len(self):
+            # From the next run with a point, the runs that end within
+            # ``size`` points, or that run alone if it is longer.
+            first, stop = np.searchsorted(ends, (done, done + size), side="right").tolist()
+            stop = max(stop, first + 1)
+            count, n = self.count[first:stop], int(ends[stop - 1]) - done
+            done += n
             # A point's place in its run is its place in the slice less that
-            # of its run's first point, which the cut moves back by ``skip``.
+            # of its run's first point.
             before = count.cumsum(dtype=np.int32)
             before -= count
-            before[0] -= skip
             s = np.arange(n, dtype=np.int32)
             s -= np.repeat(before, count)
-            c = np.zeros((5, -(-n // 128) * 128), dtype=np.int32)
-            c[:, :n] = np.repeat(self.start[:, first:last + 1], count, axis=1)
-            step = np.repeat(self.step[1:, first:last + 1], count, axis=1)
+            c = np.repeat(self.start[:, first:stop], count, axis=1)
+            step = np.repeat(self.step[1:, first:stop], count, axis=1)
             step *= s
-            c[1:, :n] += step
+            c[1:] += step
             # Free the temporaries before the next slice is made, while this
             # one is still held.
             del s, step
@@ -438,7 +433,6 @@ def _candidates_fast(t: np.ndarray, max_a4: int, max_d2: int) -> _Runs:
     key = np.sort(4 * P + k, axis=2)
     fresh = np.ones(key.shape, dtype=bool)
     fresh[:, :, 1:] = key[:, :, 1:] != key[:, :, :-1]
-    fresh &= t[2][:, None, None] <= max_a4
     j, r = (x.astype(np.int32) for x in np.nonzero(fresh)[:2])
     key = key[fresh]
     atoms = (key >> 2, key & 3, t[2, j], (t.sum(axis=0, dtype=np.int32)[:, None] - 1 - p1 - p2)[j, r],
@@ -474,7 +468,7 @@ def _candidates_reference(t: np.ndarray, max_a4: int, max_d2: int) -> _Runs:
                     if d2 > d2_cap or d1 + d2 > total - 1 or d1 < a0 + a3:
                         continue
                     cands.append((j, a3, a4, d1, d2))
-    start = np.array(cands, dtype=np.int64).reshape(-1, 5).T
+    start = np.array(cands, dtype=np.int32).reshape(-1, 5).T
     return _Runs(start, np.zeros_like(start), np.ones(start.shape[1], dtype=np.int64))
 
 
@@ -541,11 +535,9 @@ def _prefix_singletons(hits: tuple[np.ndarray, np.ndarray], c: np.ndarray, keep:
 def _packed(pieces: Iterator[np.ndarray], size: int) -> Iterator[np.ndarray]:
     """The columns of the (5, m) pieces in order, packed into one int32
     buffer of ``size`` columns, which is yielded each time it is full and
-    refilled after.  What is left at the end comes in the buffer's first
-    columns up to the next multiple of 128, filled up with zeros.  So the
-    stages after it make few calls, on arrays of few sizes (see
-    ``_Runs.slices``)."""
-    buf, n = np.zeros((5, size), dtype=np.int32), 0
+    refilled after; what is left at the end comes in the buffer's first
+    columns.  So the stages after it make few calls."""
+    buf, n = np.empty((5, size), dtype=np.int32), 0
     for c in pieces:
         while c.shape[1]:
             k = min(size - n, c.shape[1])
@@ -555,8 +547,7 @@ def _packed(pieces: Iterator[np.ndarray], size: int) -> Iterator[np.ndarray]:
                 yield buf
                 n = 0
     if n:
-        buf[:, n:] = 0
-        yield buf[:, :-(-n // 128) * 128]
+        yield buf[:, :n]
 
 
 def _masked_points(t: np.ndarray, runs: _Runs) -> set[tuple[int, ...]]:
@@ -564,14 +555,14 @@ def _masked_points(t: np.ndarray, runs: _Runs) -> set[tuple[int, ...]]:
     numpy masks keep, each once.
 
     Every pattern has d2 > a4 and d1 >= a0 + a3 > a3, so the one linear
-    cone left to rule out is d1 = a4 (c[3] = c[2]); the filler columns of
-    zeros fail it too.  Singleton 1 keeps the fewest points (21 % of those
-    past the cone at (40, 80), against 30 % for singleton 2 and 41 % for
-    singleton 0), so it goes first, on every slice.  Its survivors are
-    packed into buffers of _BATCH_CELLS >> 7 = 2048 points, and only those
-    meet singletons 2 and 0 and the four-weight gcds.  The residue classes
-    are built after the kernel ran, so that they and the kernel's arrays
-    are never held at once."""
+    cone left to rule out is d1 = a4 (c[3] = c[2]).  Singleton 1 keeps the
+    fewest points (21 % of those past the cone at (40, 80), against 30 %
+    for singleton 2 and 41 % for singleton 0), so it goes first, with the
+    cone test, on every slice.  Their survivors are packed into buffers of
+    _BATCH_CELLS >> 7 = 2048 points, and only those meet singletons 2 and 0
+    and the four-weight gcds.  The residue classes are built after the
+    kernel ran, so that they and the kernel's arrays are never held at
+    once."""
     found = set()
     hits = t.astype(np.int32), _residue_classes(t)
     quadruples = np.array(_QUADRUPLES)
@@ -582,7 +573,7 @@ def _masked_points(t: np.ndarray, runs: _Runs) -> set[tuple[int, ...]]:
         return c[:, _prefix_singletons(hits, c, c[3] != c[2], (1,))]
 
     for c in _packed(map(passed, runs.slices(_BATCH_CELLS >> 6)), _BATCH_CELLS >> 7):
-        c = c[:, _prefix_singletons(hits, c, c[3] != c[2], (2, 0))]
+        c = c[:, _prefix_singletons(hits, c, np.ones(c.shape[1], dtype=bool), (2, 0))]
         w = np.concatenate((hits[0][:, c[0]], c[1:3]))
         found.update(zip(*c[:, (np.gcd.reduce(w[quadruples], axis=1) == 1).all(axis=0)].tolist()))
     return found
@@ -595,9 +586,6 @@ def _solve_shaped_chunk(max_a4: int, max_d2: int, a0: int,
     # than 64 (see _BATCH_CELLS).
     size = max(1, _BATCH_CELLS >> 12, min(_BATCH_CELLS >> 11, _BATCH_CELLS // (16 * (max_a4 + 1))))
     for t in _sorted_tuples(max_a4, a0, 3, size):
-        # A short batch is filled up with triples beyond the box, which have
-        # no candidates, so that every batch has one size.
-        t = np.concatenate((t, np.full((3, size - t.shape[1]), max_a4 + 1)), axis=1)
         triples = list(map(tuple, t.T.tolist()))
         for j, a3, a4, d1, d2 in sorted(_masked_points(t, generator(t, max_a4, max_d2))):
             w = triples[j] + (a3, a4)

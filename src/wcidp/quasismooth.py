@@ -140,6 +140,8 @@ def _triple_ok(a: tuple[int, ...], d1: int, d2: int, k: int, l: int, m: int) -> 
 
 
 def _check_index(i: int) -> None:
+    if not isinstance(i, int) or isinstance(i, bool):
+        raise ValueError(f"index must be an integer, got {i!r}")
     if not 0 <= i <= 4:
         raise ValueError(f"index out of range: {i}")
 

@@ -281,6 +281,20 @@ def test_enumerate_rejects_big_exhaustive(capsys):
     assert "exhaustive" in err
 
 
+def test_enumerate_allow_big_exhaustive_runs_every_chunk(capsys, monkeypatch):
+    # Without the flag the request is a usage error before any work; with
+    # it, the 61 chunks of the box run, here through a spy.
+    seen = []
+    monkeypatch.delenv("WCIDP_JOBS", raising=False)
+    monkeypatch.setattr("wcidp.enumerator._solve_chunk", lambda args: seen.append(args) or [])
+    argv = ["enumerate", "--max-a4", "61", "--max-d2", "122", "--mode", "exhaustive"]
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "exhaustive" in err and seen == []
+    code, out, _ = run(capsys, *argv, "--allow-big-exhaustive")
+    assert code == 0 and out.count("\n") == 1
+    assert seen == [(61, 122, "exhaustive", a0) for a0 in range(1, 62)]
+
+
 def test_enumerate_rejects_bad_bounds(capsys):
     code, _, err = run(capsys, "enumerate", "--max-a4", "0")
     assert code == 2

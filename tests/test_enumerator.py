@@ -47,10 +47,8 @@ def weight_triples(max_a4, a0s):
 
 
 def points(runs):
-    """Every point of a generator's runs, as a (5, m) array in run order
-    without the filler columns (a3 = 0)."""
-    c = np.concatenate([np.zeros((5, 0), dtype=np.int32), *runs.slices(4096)], axis=1)
-    return c[:, c[1] > 0]
+    """Every point of a generator's runs, as a (5, m) array in run order."""
+    return np.concatenate([np.zeros((5, 0), dtype=np.int32), *runs.slices(4096)], axis=1)
 
 
 def candidate_sets(triples, max_a4, max_d2, generator=_candidates_fast, batch=512):
@@ -358,6 +356,19 @@ def test_exhaustive_refuses_large_bounds_without_override():
         enumerate_solutions(Bounds(10, 20), mode="no-such-mode")
 
 
+def test_exhaustive_override_runs_every_chunk_of_a_large_box(monkeypatch):
+    # allow_large_exhaustive lifts the limit on max_a4, and only it: the
+    # request goes on to its 61 chunks, here solved by a spy.
+    seen = []
+    monkeypatch.setattr(enumerator, "_solve_chunk", lambda args: seen.append(args) or [])
+    with pytest.raises(ValueError, match="exhaustive"):
+        enumerate_solutions(Bounds(61, 122), mode="exhaustive")
+    assert seen == []
+    res = enumerate_solutions(Bounds(61, 122), mode="exhaustive", allow_large_exhaustive=True)
+    assert res.solutions == ()
+    assert seen == [(61, 122, "exhaustive", a0) for a0 in range(1, 62)]
+
+
 def test_jobs_that_are_not_positive_integers_are_refused_before_any_work(monkeypatch):
     def must_not_run(*args, **kwargs):
         raise AssertionError("the run started despite a bad job count")
@@ -513,11 +524,37 @@ def test_shaped_chunk_memory_stays_within_the_stated_budget():
         assert peak <= 1 << 20, (a0, peak)
 
 
-def test_shaped_chunk_memory_stays_within_the_stated_budget_at_the_full_bound():
+def test_shaped_chunk_memory_stays_within_the_stated_budget_at_the_full_bound(monkeypatch):
     # The same at the paper's bound (500, 1000), on the chunk a0 = 450,
     # whose moduli reach 500: there a batch holds 64 triples, and building
-    # their residue classes takes most of the budget.
-    _solve_shaped_chunk(500, 1000, 450, _candidates_fast)
+    # their residue classes takes most of the budget.  The first run, which
+    # fills the caches, also pins what the chunk loop hands its stages:
+    # 1,326 triples and 632,515 points to the kernel, and 28 candidates to
+    # del_pezzo_quick.  None of them is well-formed, and del_pezzo_quick
+    # tests well-formedness before any singleton condition, so it makes no
+    # singleton test, and the chunk has no solution.
+    counts = {"triples": 0, "points": 0, "del_pezzo_quick": 0, "_singleton_ok": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    def kernel(t, max_a4, max_d2):
+        runs = _candidates_fast(t, max_a4, max_d2)
+        counts["triples"] += t.shape[1]
+        counts["points"] += len(runs)
+        return runs
+
+    with monkeypatch.context() as patch:
+        patch.setattr(enumerator, "del_pezzo_quick", counted(enumerator, "del_pezzo_quick"))
+        patch.setattr(classifier, "_singleton_ok", counted(classifier, "_singleton_ok"))
+        assert _solve_shaped_chunk(500, 1000, 450, kernel) == []
+    assert counts == {"triples": 1_326, "points": 632_515, "del_pezzo_quick": 28, "_singleton_ok": 0}
     tracemalloc.start()
     try:
         _solve_shaped_chunk(500, 1000, 450, _candidates_fast)
@@ -563,10 +600,10 @@ def test_residue_classes_follow_their_definition(k):
 
 def test_packed_buffers_keep_every_column_in_order():
     # Pieces of no columns, of fewer and of more than a buffer: every
-    # buffer but the last holds ``size`` columns, the last is cut to a
-    # multiple of 128 and filled up with zeros, and the buffers joined are
-    # the pieces' columns one after another.  A yielded buffer is refilled
-    # after, so each is copied before the next is asked for.
+    # buffer but the last holds ``size`` columns, the last what is left,
+    # and the buffers joined are the pieces' columns one after another.  A
+    # yielded buffer is refilled after, so each is copied before the next
+    # is asked for.
     widths = [0, 5, 300, 0, 1, 700, 128, 2]
     pieces = [np.arange(1, 5 * m + 1, dtype=np.int32).reshape(m, 5).T + 1000 * p for p, m in enumerate(widths)]
     expected = np.concatenate(pieces, axis=1)
@@ -574,42 +611,44 @@ def test_packed_buffers_keep_every_column_in_order():
         buffers = [b.copy() for b in enumerator._packed(iter(pieces), size)]
         assert [b.shape[1] for b in buffers[:-1]] == [size] * (len(buffers) - 1), size
         last = expected.shape[1] - size * (len(buffers) - 1)
-        assert 0 < last <= size and buffers[-1].shape[1] == -(-last // 128) * 128, size
+        assert 0 < last <= size and buffers[-1].shape[1] == last, size
         joined = np.concatenate(buffers, axis=1)
-        assert joined.dtype == np.int32 and not joined[:, expected.shape[1]:].any(), size
-        assert (joined[:, :expected.shape[1]] == expected).all(), size
+        assert joined.dtype == np.int32 and (joined == expected).all(), size
 
 
-def test_runs_expand_in_slices_of_at_most_size_points_in_run_order():
+def test_runs_expand_in_slices_of_whole_runs_in_run_order():
     # Runs with no points and a run longer than every slice but the
-    # largest: each slice holds at most ``size`` points, filled up with
-    # columns of zeros to a multiple of 128, and the slices joined are the
-    # points one run after another.  Every point has a3 >= 1, so the
-    # filler tells itself apart.
+    # largest: each slice holds the next runs with a point, whole and in
+    # order, as many as fit in ``size`` points, or one run alone that is
+    # longer; no slice is empty.
     count = np.array([3, 0, 5_000, 1, 0, 7, 130, 0])
     start = np.array([[j, 1 + j, 2 * j + 1, 3 * j + 5, 40 - j] for j in range(count.size)], dtype=np.int32).T
     step = np.array([[0, j % 3, 1, j, 2] for j in range(count.size)], dtype=np.int32).T
-    expected = [tuple((start[:, i] + s * step[:, i]).tolist()) for i in range(count.size) for s in range(count[i])]
     runs = enumerator._Runs(start, step, count)
-    assert len(runs) == len(expected) == 5_141
-    for size in (1, 7, 4096):
-        joined = []
+    whole = [[tuple((start[:, i] + s * step[:, i]).tolist()) for s in range(count[i])]
+             for i in range(count.size) if count[i]]
+    assert len(runs) == sum(map(len, whole)) == 5_141
+    for size in (1, 7, 140, 4096):
+        expected, left = [], whole
+        while left:
+            take = 1
+            while take < len(left) and sum(map(len, left[:take + 1])) <= size:
+                take += 1
+            expected.append(sum(left[:take], []))
+            left = left[take:]
         # Every slice is read after all were made, so a slice that shared
         # its buffer with another fails: a caller may hold a slice while it
         # asks for the next.
-        for c in list(runs.slices(size)):
-            points = int((c[1] != 0).sum())
-            assert c.dtype == np.int32 and c.shape[1] % 128 == 0, size
-            assert 0 < points <= size and not c[:, points:].any(), size
-            joined.extend(map(tuple, c[:, :points].T.tolist()))
-        assert joined == expected, size
+        slices = list(runs.slices(size))
+        assert all(c.dtype == np.int32 and c.shape[1] for c in slices), size
+        assert [list(map(tuple, c.T.tolist())) for c in slices] == expected, size
 
 
 def test_shaped_chunk_result_does_not_depend_on_batch_size(monkeypatch):
     # Batches of 1, 3 and 128 triples (2048 cells a triple at (20, 40)),
-    # short ones filled up with triples beyond the box, expanded in slices
-    # of 32, 96 and 4096 points (64 cells a point) whose survivors of the
-    # first mask are packed by 16, 48 and 2048, give the same solutions;
+    # expanded in slices of whole runs of up to 32, 96 and 4096 points (64
+    # cells a point) whose survivors of the first mask are packed by 16, 48
+    # and 2048, give the same solutions;
     # only their order within a chunk may differ.
     def chunks():
         return [sorted(_solve_shaped_chunk(20, 40, a0, _candidates_fast)) for a0 in range(1, 21)]
@@ -665,8 +704,8 @@ def test_stage_counts_at_20_40_are_pinned(monkeypatch):
     res = enumerate_solutions(Bounds(20, 40), jobs=1)
     assert len(res.solutions) == 183
     assert counts["_candidates_fast"][1] == 88_245
-    # 25 batches of 128 triples, the short ones filled up beyond the box.
-    assert counts["_candidates_fast"][::2] == [25, 3_200]
+    # The 1,540 triples of (20, 40) in 25 batches of up to 128.
+    assert counts["_candidates_fast"][::2] == [25, 1_540]
     assert counts["_prefix_singletons"] == {(1,): [88_043, 33_069], (2, 0): [33_069, 13_289]}
     # The four-weight gcd test and the drop of repeats leave 4,404 points.
     assert counts["_singleton_ok"] == [4_404, 3_026]

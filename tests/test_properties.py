@@ -5,7 +5,8 @@ candidates checks that the short-circuit verdict reads every condition that
 rejects a candidate alone.  The shaped chunk loop's singleton masks never
 drop what the definition admits, and its generator, on weights up to 500,
 never drops a candidate that meets the singleton condition at coordinate
-3, nor, by bounding the slopes of its lines, a line that holds a point."""
+3, nor, by bounding the slopes of its lines, a line that holds a point; it
+gives no point for a triple beyond the box."""
 
 from itertools import combinations_with_replacement
 from math import gcd
@@ -116,20 +117,19 @@ def test_classification_ignores_input_order(case, data):
 def triple_batches(draw):
     """A few sorted (a0, a1, a2) triples and candidate columns
     (column, a3, a4, d1, d2) on them, with a4 >= a3 >= a2 and arbitrary
-    degrees, then the column of zeros the shaped chunk loop fills a slice
-    up with."""
+    degrees."""
     triples = draw(st.lists(st.lists(st.integers(1, 30), min_size=3, max_size=3).map(sorted),
                             min_size=1, max_size=4))
     rows = draw(st.lists(st.tuples(st.integers(0, len(triples) - 1), st.integers(0, 30), st.integers(0, 30),
-                                   st.integers(0, 90), st.integers(0, 90)), max_size=12))
+                                   st.integers(0, 90), st.integers(0, 90)), min_size=1, max_size=12))
     rows = [(j, triples[j][2] + up3, triples[j][2] + up3 + up4, d1, d2) for j, up3, up4, d1, d2 in rows]
-    return triples, rows + [(0, 0, 0, 0, 0)]
+    return triples, rows
 
 
 @FIXED
 @given(triple_batches())
 # a4 = 8 is congruent to d1 = 5 modulo a0 = 3, but exceeds it: no hit.
-@example(([[3, 3, 3]], [(0, 4, 8, 5, 10), (0, 0, 0, 0, 0)]))
+@example(([[3, 3, 3]], [(0, 4, 8, 5, 10)]))
 def test_prefix_singleton_masks_never_drop_what_the_definition_admits(batch):
     # The masks test a_e <= d only for a4 at d1.  So they equal the condition
     # where d1 > a3 and d2 >= a4, as on every shaped candidate; elsewhere
@@ -167,8 +167,29 @@ def test_generator_keeps_every_candidate_that_meets_singleton_3(case):
         fast.update(map(tuple, piece.T.tolist()))
     for piece in _candidates_reference(t, max_a4, max_d2).slices(4096):
         for j, a3, a4, d1, d2 in piece.T.tolist():
-            if a3 and _singleton_ok((*triple, a3, a4), d1, d2, 3):
+            if _singleton_ok((*triple, a3, a4), d1, d2, 3):
                 assert (j, a3, a4, d1, d2) in fast, (triple, a3, a4, d1, d2, max_a4, max_d2)
+
+
+@st.composite
+def beyond_the_box_cases(draw):
+    """A box up to (500, 1000) and a few sorted triples whose a2 lies up to
+    5 beyond the box's a4."""
+    max_a4 = draw(st.integers(1, 500))
+    triple = st.integers(max_a4 + 1, max_a4 + 5).flatmap(
+        lambda a2: st.integers(1, a2).flatmap(lambda a1: st.tuples(st.integers(1, a1), st.just(a1), st.just(a2))))
+    return draw(st.lists(triple, min_size=1, max_size=4)), max_a4, draw(st.integers(2, 1000))
+
+
+@FIXED
+@given(beyond_the_box_cases())
+def test_generators_give_no_point_for_triples_beyond_the_box(case):
+    # A triple with a2 > max_a4 has no a3 in the box: neither the kernel's
+    # lines and columns nor the plain scan reach a point of it.
+    triples, max_a4, max_d2 = case
+    t = np.array(triples).T
+    for generator in (_candidates_fast, _candidates_reference):
+        assert len(generator(t, max_a4, max_d2)) == 0, (generator.__name__, triples, max_a4, max_d2)
 
 
 def runs_of_the_old_slope_range(P, k, a2, b0, room, r, max_a4):

@@ -35,8 +35,10 @@ def test_singleton_examples():
 
 
 def test_singleton_index_validation():
-    with pytest.raises(ValueError):
-        qs_singleton(Candidate.of(1, 1, 1, 1, 1, 2, 2), 5)
+    c = Candidate.of(1, 1, 1, 1, 1, 2, 2)
+    for i in (5, -1, True, 1.5, "1", None):
+        with pytest.raises(ValueError):
+            qs_singleton(c, i)
 
 
 def test_singleton_agrees_with_pairwise_oracle():
@@ -62,6 +64,9 @@ def test_pair_index_validation():
         qs_pair(c, 2, 2)
     with pytest.raises(ValueError):
         qs_pair(c, 0, 7)
+    for i, j in [(0, 1.0), (False, 1), ("0", 1)]:
+        with pytest.raises(ValueError):
+            qs_pair(c, i, j)
 
 
 def test_pair_agrees_with_nine_subset_enumeration():
@@ -99,6 +104,9 @@ def test_triple_index_validation():
     c = Candidate.of(1, 1, 1, 1, 1, 2, 2)
     with pytest.raises(ValueError):
         qs_triple(c, 1, 1, 2)
+    for k, l, m in [(0, 1, "2"), (0, True, 2), (0.0, 1, 2)]:
+        with pytest.raises(ValueError):
+            qs_triple(c, k, l, m)
 
 
 def test_full_report_examples():
