@@ -51,11 +51,13 @@ the given bounds whose verdict is del Pezzo:
   longer, and filters as numpy masks, the most selective first: the
   linear cone d1 = a4 and the singleton condition at coordinate 1 on each
   slice; then, on their survivors packed by 2048 points, the singleton
-  conditions at coordinates 2 and 0 (``_prefix_singletons``) and the
-  four-weight gcd conditions.  A point comes once for each atom and row
-  that hold it, and one set drops the repeats.  Then, one survivor at a
-  time, the singleton condition at coordinate 3 and ``del_pezzo_quick``
-  decide.
+  conditions at coordinates 2 and 0 (``_prefix_singletons``), the
+  four-weight gcd conditions and the first gcd condition of
+  ``wellformed``, gcd(a3, a4) divides d1 or d2.  A point comes once for
+  each atom and row that hold it, and one set drops the repeats.  Then,
+  one survivor at a time, the singleton condition at coordinate 3 and
+  ``del_pezzo_quick`` decide: at (40, 80) 11,011 points reach that loop
+  and 3,854 ``del_pezzo_quick``.
   A batch holds 128 triples, 64 at the paper's bound, and needs under
   1 MiB (see ``_BATCH_CELLS``).
 
@@ -178,8 +180,8 @@ class EnumerationResult:
 # (``_residue_classes``) take one byte for each of a triple's three moduli
 # and each residue up to max_a4, 96 kB for 64 triples at the bound; they
 # are built after the kernel ran.  Under tracemalloc, every chunk of
-# (40, 80) peaks at most at 644 kB (a0 = 1), and the (500, 1000) chunks
-# a0 = 350, 420 and 450, in batches of 64 triples, at 965, 663 and
+# (40, 80) peaks at most at 637 kB (a0 = 18), and the (500, 1000) chunks
+# a0 = 350, 420 and 450, in batches of 64 triples, at 965, 659 and
 # 582 kB; at a0 = 350 that is the kernel's own peak.  Tests hold every
 # (40, 80) chunk and a0 = 450 under 1 MiB, and a0 = 350 under WCIDP_SLOW.
 # At (40, 80) batches of 256 triples peaked at 1.26 MB, and batches of 32
@@ -328,7 +330,8 @@ def _ranges(first: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarra
     order, each with its range's index i: (index, value), both in the
     dtype of ``first`` where ``count`` has it too."""
     at = np.repeat(np.arange(count.size, dtype=first.dtype), count)
-    return at, np.arange(at.size, dtype=first.dtype) - (count.cumsum(dtype=first.dtype) - count)[at] + first[at]
+    before = count.cumsum(dtype=first.dtype) - count
+    return at, np.arange(at.size, dtype=first.dtype) - before.take(at) + first.take(at)
 
 
 def _narrow(lo: np.ndarray, hi: np.ndarray, c: np.ndarray, b: np.ndarray) -> None:
@@ -359,28 +362,28 @@ def _line_runs(P: np.ndarray, k: np.ndarray, a2: np.ndarray, b0: np.ndarray, roo
     line, a4 is affine in a3, so a2 <= a3 <= a4 <= max_a4 (a3 < a4 in the
     rows of ``_ABOVE``), amplitude >= 1 and d2 <= max_d2 leave one interval
     of a3."""
-    m, k2 = _M[r], _K2[r]
+    m, k2 = _M.take(r), _K2.take(r)
     first = k - (-P // np.where(P > 0, max_a4, a2))
-    last = (k * np.maximum(_BETA[r], 0) * a2 + np.maximum(k * b0 + m * P, 0)) // (m * a2)
+    last = (k * np.maximum(_BETA.take(r), 0) * a2 + np.maximum(k * b0 + m * P, 0)) // (m * a2)
     np.minimum(last, (k * max_a4 + P) // a2, out=last)
-    np.minimum(last, (k * room + k2 * P - k * _C2[3, r] * a2) // (k2 * a2), out=last)
+    np.minimum(last, (k * room + k2 * P - k * _C2[3].take(r) * a2) // (k2 * a2), out=last)
     atom = np.flatnonzero((k > 0) & (last >= first)).astype(np.int32)
-    at, u = _ranges(first[atom], last[atom] - first[atom] + 1)
+    at, u = _ranges(first.take(atom), last.take(atom) - first.take(atom) + 1)
     # A batch's memory peaks at its lines: free what they do not need.
     del m, k2, first, last
-    atom = atom[at]
-    P, k, r = P[atom], k[atom], r[atom]
-    lo, hi = a2[atom], np.full(atom.size, max_a4, dtype=a2.dtype)
-    _narrow(lo, hi, k - u, -P - k * _ABOVE[r])
+    atom = atom.take(at)
+    P, k, r = P.take(atom), k.take(atom), r.take(atom)
+    lo, hi = a2.take(atom), np.full(atom.size, max_a4, dtype=a2.dtype)
+    _narrow(lo, hi, k - u, -P - k * _ABOVE.take(r))
     _narrow(lo, hi, u, k * max_a4 + P)
-    _narrow(lo, hi, _M[r] * u - k * _BETA[r], k * b0[atom] + _M[r] * P)
-    _narrow(lo, hi, _K2[r] * u + k * _C2[3, r], k * room[atom] + _K2[r] * P)
+    _narrow(lo, hi, _M.take(r) * u - k * _BETA.take(r), k * b0.take(atom) + _M.take(r) * P)
+    _narrow(lo, hi, _K2.take(r) * u + k * _C2[3].take(r), k * room.take(atom) + _K2.take(r) * P)
     # k*a4 = u*a3 - P needs u*a3 = P modulo k: every a3, every other, or none.
     step = k // np.gcd(u, k)
     a3 = lo + (P - u * lo) % step
     count = np.where((u * a3 - P) % k == 0, (hi - a3) // step + 1, 0)
     run = np.flatnonzero(count > 0)
-    atom, u, P, k, a3, step, count = atom[run], u[run], P[run], k[run], a3[run], step[run], count[run]
+    atom, u, P, k, a3, step, count = (x.take(run) for x in (atom, u, P, k, a3, step, count))
     return atom, a3, (u * a3 - P) // k, step, u * step // k, count
 
 
@@ -393,14 +396,15 @@ def _column_runs(P: np.ndarray, k: np.ndarray, a2: np.ndarray, b0: np.ndarray, r
     P = 0, is kept: each a3 whose lowest a4, a3 itself, lies in the box
     keeps its column of a4 up to the bounds."""
     atom = np.flatnonzero((k == 0) & (P == 0)).astype(np.int32)
-    a2, b0, room, r = a2[atom], b0[atom], room[atom], r[atom]
-    m, beta, k2, alpha2 = _M[r], _BETA[r], _K2[r], _C2[3, r]
+    a2, b0, room, r = a2.take(atom), b0.take(atom), room.take(atom), r.take(atom)
+    m, beta, k2, alpha2 = _M.take(r), _BETA.take(r), _K2.take(r), _C2[3].take(r)
     lo, hi = a2.copy(), np.full(atom.size, max_a4, dtype=a2.dtype)
     _narrow(lo, hi, m - beta, b0)
     _narrow(lo, hi, k2 + alpha2, room)
     at, a3 = _ranges(lo, np.maximum(hi - lo + 1, 0))
-    top = np.minimum((b0[at] + beta[at] * a3) // m[at], (room[at] - alpha2[at] * a3) // k2[at])
-    return atom[at], a3, a3, np.zeros_like(a3), np.ones_like(a3), np.minimum(top, max_a4) - a3 + 1
+    top = np.minimum((b0.take(at) + beta.take(at) * a3) // m.take(at),
+                     (room.take(at) - alpha2.take(at) * a3) // k2.take(at))
+    return atom.take(at), a3, a3, np.zeros_like(a3), np.ones_like(a3), np.minimum(top, max_a4) - a3 + 1
 
 
 def _candidates_fast(t: np.ndarray, max_a4: int, max_d2: int) -> _Runs:
@@ -433,17 +437,26 @@ def _candidates_fast(t: np.ndarray, max_a4: int, max_d2: int) -> _Runs:
     key = np.sort(4 * P + k, axis=2)
     fresh = np.ones(key.shape, dtype=bool)
     fresh[:, :, 1:] = key[:, :, 1:] != key[:, :, :-1]
-    j, r = (x.astype(np.int32) for x in np.nonzero(fresh)[:2])
-    key = key[fresh]
-    atoms = (key >> 2, key & 3, t[2, j], (t.sum(axis=0, dtype=np.int32)[:, None] - 1 - p1 - p2)[j, r],
-             max_d2 - p2[j, r], r)
-    del P, key, fresh
+    # Flat indices are cheaper than 2-D ones: an atom's triple j and row r
+    # come from one index jr = 15*j + r into the raveled (n, 15) arrays.
+    # numpy divides by a constant far faster than it takes a remainder.
+    fresh = fresh.ravel()
+    jr = (np.flatnonzero(fresh) // 5).astype(np.int32)
+    j = jr // 15
+    key = key.ravel().compress(fresh)
+    b0 = t.sum(axis=0, dtype=np.int32)[:, None] - 1 - p1 - p2
+    p1, p2 = p1.ravel(), p2.ravel()
+    atoms = (key >> 2, key & 3, t[2].take(j), b0.ravel().take(jr), max_d2 - p2.take(jr), jr - 15 * j)
+    del P, key, fresh, b0, j
     atom, a3, a4, da3, da4, count = (
         np.concatenate(x) for x in zip(_line_runs(*atoms, max_a4), _column_runs(*atoms, max_a4)))
     del atoms
-    j, r = j[atom], r[atom]
-    alpha1, alpha2, k1, k2 = _C1[3, r], _C2[3, r], _K1[r], _K2[r]
-    start = np.stack((j, a3, a4, p1[j, r] + alpha1 * a3 + k1 * a4, p2[j, r] + alpha2 * a3 + k2 * a4),
+    # No j is held beside jr and r while the starts are stacked: the
+    # batch's memory peaks there at the bound.
+    jr = jr.take(atom)
+    r = jr - jr // 15 * 15
+    alpha1, alpha2, k1, k2 = _C1[3].take(r), _C2[3].take(r), _K1.take(r), _K2.take(r)
+    start = np.stack((jr // 15, a3, a4, p1.take(jr) + alpha1 * a3 + k1 * a4, p2.take(jr) + alpha2 * a3 + k2 * a4),
                      dtype=np.int32)
     step = np.stack((np.zeros_like(a3), da3, da4, alpha1 * da3 + k1 * da4, alpha2 * da3 + k2 * da4))
     return _Runs(start, step, count)
@@ -550,6 +563,18 @@ def _packed(pieces: Iterator[np.ndarray], size: int) -> Iterator[np.ndarray]:
         yield buf[:, :n]
 
 
+def _top_pair_gcd_ok(w: np.ndarray, d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
+    """Whether each column of weights w, (5, m), and its degrees d1, d2
+    meet the first of wellformed's gcd conditions: a triple-gcd condition
+    on the kept weights (3, 4), so gcd(a3, a4) divides d1 or d2.  On shaped
+    candidates it can fail only in rows 0..2, where it reads
+    gcd(a3, a4) | a_x or a_y: every other row has d2 = a3 + a4 or 2*a4.
+    Well-formedness needs it, and ``del_pezzo_quick`` still decides every
+    candidate it keeps."""
+    g = np.gcd(*(w[i] for i in _GCD_CONDITIONS[0][1]))
+    return (d1 % g == 0) | (d2 % g == 0)
+
+
 def _masked_points(t: np.ndarray, runs: _Runs) -> set[tuple[int, ...]]:
     """The points of the runs of a batch of triples t, (3, n), that the
     numpy masks keep, each once.
@@ -559,10 +584,13 @@ def _masked_points(t: np.ndarray, runs: _Runs) -> set[tuple[int, ...]]:
     fewest points (21 % of those past the cone at (40, 80), against 30 %
     for singleton 2 and 41 % for singleton 0), so it goes first, with the
     cone test, on every slice.  Their survivors are packed into buffers of
-    _BATCH_CELLS >> 7 = 2048 points, and only those meet singletons 2 and 0
-    and the four-weight gcds.  The residue classes are built after the
-    kernel ran, so that they and the kernel's arrays are never held at
-    once."""
+    _BATCH_CELLS >> 7 = 2048 points, and only those meet singletons 2 and 0,
+    the four-weight gcds and gcd(a3, a4) | d1 or d2 (``_top_pair_gcd_ok``).
+    At (40, 80) that last test cuts the distinct points handed on from
+    20,481 to 11,011, and the calls of ``del_pezzo_quick`` from 11,604 to
+    3,854.  Masks are applied with ``compress``, cheaper than boolean
+    indexing.  The residue classes are built after the kernel ran,
+    so that they and the kernel's arrays are never held at once."""
     found = set()
     hits = t.astype(np.int32), _residue_classes(t)
     quadruples = np.array(_QUADRUPLES)
@@ -570,12 +598,14 @@ def _masked_points(t: np.ndarray, runs: _Runs) -> set[tuple[int, ...]]:
     # Through ``map``, unlike a generator expression, no slice is held once
     # it is masked, while the next one is made.
     def passed(c):
-        return c[:, _prefix_singletons(hits, c, c[3] != c[2], (1,))]
+        return c.compress(_prefix_singletons(hits, c, c[3] != c[2], (1,)), axis=1)
 
     for c in _packed(map(passed, runs.slices(_BATCH_CELLS >> 6)), _BATCH_CELLS >> 7):
-        c = c[:, _prefix_singletons(hits, c, np.ones(c.shape[1], dtype=bool), (2, 0))]
-        w = np.concatenate((hits[0][:, c[0]], c[1:3]))
-        found.update(zip(*c[:, (np.gcd.reduce(w[quadruples], axis=1) == 1).all(axis=0)].tolist()))
+        c = c.compress(_prefix_singletons(hits, c, np.ones(c.shape[1], dtype=bool), (2, 0)), axis=1)
+        w = np.concatenate((hits[0].take(c[0], axis=1), c[1:3]))
+        keep = _top_pair_gcd_ok(w, c[3], c[4])
+        keep &= (np.gcd.reduce(w[quadruples], axis=1) == 1).all(axis=0)
+        found.update(zip(*c.compress(keep, axis=1).tolist()))
     return found
 
 

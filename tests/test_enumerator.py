@@ -24,11 +24,13 @@ from wcidp.enumerator import (
     _solve_exhaustive_chunk,
     _solve_shaped_chunk,
     _sorted_tuples,
+    _top_pair_gcd_ok,
     degree_shapes,
     enumerate_solutions,
     sporadic,
 )
 from wcidp.quasismooth import _singleton_ok
+from wcidp.wellformed import _GCD_CONDITIONS, _gcd_violated
 
 
 def keys(result):
@@ -508,6 +510,31 @@ def test_prefix_singleton_masks_equal_the_predicate_on_every_30_60_candidate():
                 assert mask == expected, (a0, i)
 
 
+def test_top_pair_gcd_mask_equals_the_wellformed_table_on_every_30_60_candidate():
+    # On every point of (30, 60) that meets the cone test and the singleton
+    # masks, the gcd(a3, a4) mask keeps exactly what wellformed's own
+    # condition on the kept weights (3, 4) admits, and so drops no
+    # candidate that del_pezzo_quick accepts.
+    [(kind, kept)] = [(kind, kept) for kind, kept, _ in _GCD_CONDITIONS if kept == (3, 4)]
+    seen = dropped = accepted = 0
+    for a0 in range(1, 31):
+        for t in _sorted_tuples(30, a0, 3, 32):
+            c = points(_candidates_fast(t, 30, 60))
+            hits = t.astype(np.int32), _residue_classes(t)
+            c = c[:, _prefix_singletons(hits, c, c[3] != c[2], (1, 2, 0))]
+            w = np.concatenate((hits[0][:, c[0]], c[1:3]))
+            mask = _top_pair_gcd_ok(w, c[3], c[4]).tolist()
+            for a, d1, d2, ok in zip(map(tuple, w.T.tolist()), c[3].tolist(), c[4].tolist(), mask):
+                seen += 1
+                assert ok == (not _gcd_violated(kind, gcd(*(a[i] for i in kept)), d1, d2)), (a, d1, d2)
+                if del_pezzo_quick(a, d1, d2):
+                    accepted += 1
+                    assert ok, (a, d1, d2)
+                dropped += not ok
+    # Points come once for each atom and row that hold them.
+    assert (seen, dropped, accepted) == (31_913, 10_797, 486)
+
+
 def test_shaped_chunk_memory_stays_within_the_stated_budget():
     # The comment on _BATCH_CELLS promises that a shaped batch, kernel,
     # slices and filter, needs under 1 MiB at (40, 80).  Measured on every
@@ -529,10 +556,10 @@ def test_shaped_chunk_memory_stays_within_the_stated_budget_at_the_full_bound(mo
     # whose moduli reach 500: there a batch holds 64 triples, and building
     # their residue classes takes most of the budget.  The first run, which
     # fills the caches, also pins what the chunk loop hands its stages:
-    # 1,326 triples and 632,515 points to the kernel, and 28 candidates to
-    # del_pezzo_quick.  None of them is well-formed, and del_pezzo_quick
-    # tests well-formedness before any singleton condition, so it makes no
-    # singleton test, and the chunk has no solution.
+    # 1,326 triples and 632,515 points to the kernel, and no candidate to
+    # del_pezzo_quick: the gcd(a3, a4) mask drops the 28 points that pass
+    # every other mask, none of them well-formed.  So no singleton test is
+    # made, and the chunk has no solution.
     counts = {"triples": 0, "points": 0, "del_pezzo_quick": 0, "_singleton_ok": 0}
 
     def counted(module, name):
@@ -554,7 +581,7 @@ def test_shaped_chunk_memory_stays_within_the_stated_budget_at_the_full_bound(mo
         patch.setattr(enumerator, "del_pezzo_quick", counted(enumerator, "del_pezzo_quick"))
         patch.setattr(classifier, "_singleton_ok", counted(classifier, "_singleton_ok"))
         assert _solve_shaped_chunk(500, 1000, 450, kernel) == []
-    assert counts == {"triples": 1_326, "points": 632_515, "del_pezzo_quick": 28, "_singleton_ok": 0}
+    assert counts == {"triples": 1_326, "points": 632_515, "del_pezzo_quick": 0, "_singleton_ok": 0}
     tracemalloc.start()
     try:
         _solve_shaped_chunk(500, 1000, 450, _candidates_fast)
@@ -707,10 +734,11 @@ def test_stage_counts_at_20_40_are_pinned(monkeypatch):
     # The 1,540 triples of (20, 40) in 25 batches of up to 128.
     assert counts["_candidates_fast"][::2] == [25, 1_540]
     assert counts["_prefix_singletons"] == {(1,): [88_043, 33_069], (2, 0): [33_069, 13_289]}
-    # The four-weight gcd test and the drop of repeats leave 4,404 points.
-    assert counts["_singleton_ok"] == [4_404, 3_026]
-    assert counts["del_pezzo_quick"] == [3_026, 183]
-    assert counts["is_well_formed"] == [3_026, 295]
+    # The four-weight gcd test, the gcd(a3, a4) test and the drop of
+    # repeats leave 2,450 points.
+    assert counts["_singleton_ok"] == [2_450, 1_292]
+    assert counts["del_pezzo_quick"] == [1_292, 183]
+    assert counts["is_well_formed"] == [1_292, 295]
     # The exhaustive kernel hands del_pezzo_quick every pair that meets the
     # singleton conditions, amplitude and the cone test; del_pezzo_quick
     # makes the one well-formedness test of each.
