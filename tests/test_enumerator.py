@@ -3,6 +3,7 @@
 import hashlib
 import os
 import random
+import time
 import tracemalloc
 from itertools import combinations, combinations_with_replacement
 from math import gcd
@@ -110,6 +111,50 @@ def exhaustive_keys(max_a4, max_d2):
             for key in _solve_exhaustive_chunk(max_a4, max_d2, a0)]
 
 
+def count(patch, counts, module, name, size=len, batch=False):
+    """Wrap ``module.name`` through the monkeypatch ``patch`` so that
+    ``counts[name]`` holds its calls and the sum of ``size`` over its
+    results, and for a kernel, which takes a batch, the columns it was
+    handed."""
+    original = getattr(module, name)
+    seen = counts[name] = [0, 0, 0] if batch else [0, 0]
+
+    def wrapper(*args):
+        result = original(*args)
+        seen[0] += 1
+        seen[1] += size(result)
+        if batch:
+            seen[2] += args[0].shape[1]
+        return result
+
+    patch.setattr(module, name, wrapper)
+
+
+def chunk_cost(max_a4, max_d2, mode, a0):
+    """The CPU seconds of one run of the chunk, which builds the cached
+    tables that no earlier run built, and the tracemalloc peak in bytes of
+    a second run, which finds them built: they are not the batch's."""
+    start = time.process_time()
+    _solve_chunk((max_a4, max_d2, mode, a0))
+    cpu = time.process_time() - start
+    tracemalloc.start()
+    try:
+        _solve_chunk((max_a4, max_d2, mode, a0))
+        return cpu, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def summarize(what, cpu, peak):
+    """Append a line on a memory guard's chunk to the file GITHUB_STEP_SUMMARY
+    names, when it is set, as CI sets it for the job summary."""
+    path = os.environ.get("GITHUB_STEP_SUMMARY")
+    if path:
+        with open(path, "a") as summary:
+            print(f"{what}: {cpu:.2f} s CPU, tracemalloc peak {peak} B of the 1 MiB guard "
+                  f"({(1 << 20) - peak} B to spare)", file=summary)
+
+
 def test_bounds_validation():
     with pytest.raises(ValueError):
         Bounds(0, 10)
@@ -204,12 +249,13 @@ def test_exhaustive_and_shaped_chunks_agree_at_the_full_bound(a0):
 
 
 @pytest.mark.skipif(not os.environ.get("WCIDP_SLOW"),
-                    reason="exhaustive mode takes about 100 s on this chunk; set WCIDP_SLOW=1")
-def test_exhaustive_and_shaped_chunks_agree_at_100_200():
-    # A chunk beyond the exhaustive limit of whole runs, with solutions.
-    shaped = sorted(_solve_shaped_chunk(100, 200, 13, _candidates_fast))
-    assert len(shaped) == 22
-    assert sorted(_solve_exhaustive_chunk(100, 200, 13)) == shaped
+                    reason="exhaustive mode takes 80-90 s on each chunk; set WCIDP_SLOW=1")
+@pytest.mark.parametrize("a0, solutions", [(11, 37), (13, 22)])
+def test_exhaustive_and_shaped_chunks_agree_at_100_200(a0, solutions):
+    # Chunks beyond the exhaustive limit of whole runs, with solutions.
+    shaped = sorted(_solve_shaped_chunk(100, 200, a0, _candidates_fast))
+    assert len(shaped) == solutions
+    assert sorted(_solve_exhaustive_chunk(100, 200, a0)) == shaped
 
 
 def test_kernel_keeps_every_reference_candidate_that_meets_singleton_3_at_30_60():
@@ -485,13 +531,8 @@ def test_exhaustive_chunk_memory_stays_within_the_stated_budget():
     # grid blocks, needs under 1 MiB at (20, 40), measured on the largest
     # chunk, a0 = 1.  The first run builds the cached tables, which are not
     # the batch's.
-    _solve_exhaustive_chunk(20, 40, 1)
-    tracemalloc.start()
-    try:
-        _solve_exhaustive_chunk(20, 40, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    cpu, peak = chunk_cost(20, 40, "exhaustive", 1)
+    summarize("exhaustive chunk a0 = 1 of (20, 40)", cpu, peak)
     assert peak <= 1 << 20, peak
 
 
@@ -540,54 +581,32 @@ def test_shaped_chunk_memory_stays_within_the_stated_budget():
     # slices and filter, needs under 1 MiB at (40, 80).  Measured on every
     # chunk.  The first runs fill the membership caches, which are not the
     # batch's.
-    for a0 in range(1, 41):
-        _solve_shaped_chunk(40, 80, a0, _candidates_fast)
-        tracemalloc.start()
-        try:
-            _solve_shaped_chunk(40, 80, a0, _candidates_fast)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1 << 20, (a0, peak)
+    costs = {a0: chunk_cost(40, 80, "shaped", a0) for a0 in range(1, 41)}
+    a0, (_, peak) = max(costs.items(), key=lambda item: item[1][1])
+    summarize(f"shaped chunks of (40, 80), highest peak at a0 = {a0}",
+              sum(cpu for cpu, _ in costs.values()), peak)
+    assert peak <= 1 << 20, (a0, peak)
 
 
 def test_shaped_chunk_memory_stays_within_the_stated_budget_at_the_full_bound(monkeypatch):
     # The same at the paper's bound (500, 1000), on the chunk a0 = 450,
     # whose moduli reach 500: there a batch holds 64 triples, and building
-    # their residue classes takes most of the budget.  The first run, which
-    # fills the caches, also pins what the chunk loop hands its stages:
-    # 1,326 triples and 632,515 points to the kernel, and no candidate to
-    # del_pezzo_quick: the gcd(a3, a4) mask drops the 28 points that pass
-    # every other mask, none of them well-formed.  So no singleton test is
-    # made, and the chunk has no solution.
-    counts = {"triples": 0, "points": 0, "del_pezzo_quick": 0, "_singleton_ok": 0}
-
-    def counted(module, name):
-        original = getattr(module, name)
-
-        def wrapper(*args):
-            counts[name] += 1
-            return original(*args)
-
-        return wrapper
-
-    def kernel(t, max_a4, max_d2):
-        runs = _candidates_fast(t, max_a4, max_d2)
-        counts["triples"] += t.shape[1]
-        counts["points"] += len(runs)
-        return runs
-
+    # their residue classes takes most of the budget.  A first run pins
+    # what the chunk loop hands its stages: 1,326 triples and 632,515
+    # points to the kernel, and no candidate to del_pezzo_quick: the
+    # gcd(a3, a4) mask drops the 28 points that pass every other mask,
+    # none of them well-formed.  So no singleton test is made, and the
+    # chunk has no solution.
+    counts = {}
     with monkeypatch.context() as patch:
-        patch.setattr(enumerator, "del_pezzo_quick", counted(enumerator, "del_pezzo_quick"))
-        patch.setattr(classifier, "_singleton_ok", counted(classifier, "_singleton_ok"))
-        assert _solve_shaped_chunk(500, 1000, 450, kernel) == []
-    assert counts == {"triples": 1_326, "points": 632_515, "del_pezzo_quick": 0, "_singleton_ok": 0}
-    tracemalloc.start()
-    try:
-        _solve_shaped_chunk(500, 1000, 450, _candidates_fast)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        count(patch, counts, enumerator, "_candidates_fast", batch=True)
+        count(patch, counts, enumerator, "del_pezzo_quick", size=bool)
+        count(patch, counts, classifier, "_singleton_ok", size=bool)
+        assert _solve_chunk((500, 1000, "shaped", 450)) == []
+    # 21 batches of up to 64 triples.
+    assert counts == {"_candidates_fast": [21, 632_515, 1_326], "del_pezzo_quick": [0, 0], "_singleton_ok": [0, 0]}
+    cpu, peak = chunk_cost(500, 1000, "shaped", 450)
+    summarize("shaped chunk a0 = 450 of (500, 1000), jobs=1", cpu, peak)
     assert peak <= 1 << 20, peak
 
 
@@ -596,13 +615,8 @@ def test_shaped_chunk_memory_stays_within_the_stated_budget_at_the_full_bound(mo
 def test_shaped_chunk_memory_stays_within_the_stated_budget_at_the_bound_s_largest_measured_chunk():
     # a0 = 350 of (500, 1000), whose kernel peaks highest of the chunks
     # measured: there the residue classes must not be held beside it.
-    _solve_shaped_chunk(500, 1000, 350, _candidates_fast)
-    tracemalloc.start()
-    try:
-        _solve_shaped_chunk(500, 1000, 350, _candidates_fast)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    cpu, peak = chunk_cost(500, 1000, "shaped", 350)
+    summarize("shaped chunk a0 = 350 of (500, 1000)", cpu, peak)
     assert peak <= 1 << 20, peak
 
 
@@ -696,22 +710,7 @@ def test_stage_counts_at_20_40_are_pinned(monkeypatch):
     # also hold how many columns they were handed: a change to how the
     # weight tuples are cut into batches moves those.
     counts = {}
-
-    def count(module, name, size=len, batch=False):
-        original = getattr(module, name)
-        seen = counts[name] = [0, 0, 0] if batch else [0, 0]
-
-        def wrapper(*args):
-            result = original(*args)
-            seen[0] += 1
-            seen[1] += size(result)
-            if batch:
-                seen[2] += args[0].shape[1]
-            return result
-
-        monkeypatch.setattr(module, name, wrapper)
-
-    count(enumerator, "_candidates_fast", batch=True)
+    count(monkeypatch, counts, enumerator, "_candidates_fast", batch=True)
     # The prefix-singleton masks narrow the mask of the candidates still in
     # play, once for coordinate 1 and once for 2 and 0: count how many it
     # held before and after, for each.
@@ -725,9 +724,9 @@ def test_stage_counts_at_20_40_are_pinned(monkeypatch):
         return keep
 
     monkeypatch.setattr(enumerator, "_prefix_singletons", narrowed)
-    count(enumerator, "_singleton_ok", size=bool)
-    count(enumerator, "del_pezzo_quick", size=bool)
-    count(classifier, "is_well_formed", size=bool)
+    count(monkeypatch, counts, enumerator, "_singleton_ok", size=bool)
+    count(monkeypatch, counts, enumerator, "del_pezzo_quick", size=bool)
+    count(monkeypatch, counts, classifier, "is_well_formed", size=bool)
     res = enumerate_solutions(Bounds(20, 40), jobs=1)
     assert len(res.solutions) == 183
     assert counts["_candidates_fast"][1] == 88_245
@@ -743,7 +742,7 @@ def test_stage_counts_at_20_40_are_pinned(monkeypatch):
     # singleton conditions, amplitude and the cone test; del_pezzo_quick
     # makes the one well-formedness test of each.
     counts["del_pezzo_quick"][:] = counts["is_well_formed"][:] = [0, 0]
-    count(enumerator, "_exhaustive_tuple_solutions", batch=True)
+    count(monkeypatch, counts, enumerator, "_exhaustive_tuple_solutions", batch=True)
     exhaustive = enumerate_solutions(Bounds(20, 40), mode="exhaustive", jobs=1)
     assert keys(exhaustive) == keys(res)
     assert counts["del_pezzo_quick"] == [5_739, 183]

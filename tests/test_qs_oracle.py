@@ -83,10 +83,11 @@ def oracle(a, d1, d2, expected):
     # Singleton 4 fails: a4 = 3 divides neither degree.
     ((1, 1, 1, 1, 3), 2, 2, False),
     ((1, 2, 2, 2, 3), 4, 4, False),
-    # Pair (3, 4) fails: d1 = 4 and every d1 - a_e miss <3, 3>.
+    # Each row below fails exactly one condition.  Pair (3, 4): d2 = 6 lies
+    # in <3, 3>, but d1 = 4 and every d1 - a_e miss it, so branches (a)
+    # and (c) fail beside (b).
     ((2, 2, 2, 3, 3), 4, 6, False),
-    # Each row below fails exactly one condition.  Singleton 0: a0 = 3
-    # divides neither 8 nor any 8 - a_e.
+    # Singleton 0: a0 = 3 divides neither 8 nor any 8 - a_e.
     ((3, 4, 4, 4, 4), 8, 8, False),
     # Singleton 1: only 8 - a0 is a multiple of 3, at both degrees, and the
     # shifts must differ.
@@ -102,6 +103,10 @@ def oracle(a, d1, d2, expected):
     # Singleton 3: a3 = 4 divides neither degree, and only a0 shifts either
     # degree onto a multiple of 4; the shifts must differ.
     ((2, 3, 3, 4, 5), 6, 10, False),
+    # Pair (1, 2): d1 = 8 lies in <4, 4>, but d2 = 10 and every d2 - a_e
+    # miss it, so branches (a) and (b) fail beside (c).  No such row with
+    # a4 <= 4 fails this pair alone at amplitude >= 1.
+    ((3, 4, 4, 5, 5), 8, 10, False),
 ])
 def test_check_qs_agrees_with_the_groebner_oracle(a, d1, d2, quasi_smooth):
     report = check_qs(Candidate(a, d1, d2))

@@ -53,6 +53,18 @@ def test_contains_agrees_with_dp_oracle_random_sets():
             assert contains(gens, v) == span(gens, v), (gens, v)
 
 
+@pytest.mark.parametrize("gens, frobenius", [((300, 301, 302, 303), 29_999), ((500, 501, 502, 503, 504), 62_499)])
+def test_contains_agrees_with_dp_oracle_at_the_frobenius_number(gens, frobenius):
+    # Arithmetic sequences, whose Frobenius number (the largest value
+    # outside the span) has a closed form, far above the random sets'
+    # values: the hardest values for the bitmap, and for any test that
+    # would replace it.
+    assert not span(gens, frobenius)
+    assert all(span(gens, v) for v in range(frobenius + 1, frobenius + 1 + min(gens)))
+    for v in range(frobenius - 3, frobenius + 4):
+        assert contains(gens, v) == span(gens, v), (gens, v)
+
+
 def test_bitmap_member_agrees_with_dp_oracle():
     rng = random.Random(91)
     for _ in range(80):
