@@ -14,8 +14,8 @@ the given bounds whose verdict is del Pezzo:
   grid, because it removes nearly every pair; the grid is built in blocks
   of whole tuples, so a batch stays under 1 MiB.
   Coordinates 3..0 then filter the joined survivors of the whole batch:
-  numpy decides the singleton conditions, the linear cones and amplitude,
-  and ``del_pezzo_quick`` the rest.
+  numpy decides the singleton conditions, the linear cones, amplitude and
+  well-formedness, and ``del_pezzo_quick`` the rest.
 
 * ``shaped`` iterates only the fifteen degree patterns a quasi-smooth
   candidate can have at its largest weight: d2 = a_y + a4 (y < 4) with
@@ -39,25 +39,27 @@ the given bounds whose verdict is del Pezzo:
   atom with k >= 1 is a family of lines on which a4 is affine in a3, and
   the box, amplitude >= 1 and d2 <= max_d2 cut each line to one interval
   of a3, and bound its slope, so that lines without a point are never
-  made; the one atom with k = 0 that matters keeps whole columns of a4.
-  So no residue system is solved per (a0, a1, a2, a3) prefix.  The atoms
-  keep a superset of the condition, and every candidate is still fully
-  re-classified, so they cannot introduce false positives.  A plain scanning generator,
-  ``_candidates_reference``, backs the kernel in the differential tests:
-  every candidate it gives that meets singleton 3 must be among the
-  kernel's points, and tests pin those points by hash.  The kernel returns
-  runs of points, which the chunk loop expands with ``np.repeat`` in
-  slices of whole runs, at most 4096 points unless one run alone is
+  made; the one atom with k = 0 that matters, in row 12, keeps whole
+  columns of a4, which hold every point of that row's lines.  A row that
+  equal weights make equal to an earlier one is not solved again.  So no
+  residue system is solved per (a0, a1, a2, a3) prefix.  The atoms keep a
+  superset of the condition, and every candidate is still fully
+  re-classified, so they cannot introduce false positives.  A plain
+  scanning generator, ``_candidates_reference``, backs the kernel in the
+  differential tests: every candidate it gives that meets singleton 3
+  must be among the kernel's points, and tests pin by hash both those
+  points and the distinct kernel points that meet singleton 3.  The kernel
+  returns runs of points, which the chunk loop expands with ``np.repeat``
+  in slices of whole runs, at most 4096 points unless one run alone is
   longer, and filters as numpy masks, the most selective first: the
   linear cone d1 = a4 and the singleton condition at coordinate 1 on each
   slice; then, on their survivors packed by 2048 points, the singleton
-  conditions at coordinates 2 and 0 (``_prefix_singletons``), the
-  four-weight gcd conditions and the first gcd condition of
-  ``wellformed``, gcd(a3, a4) divides d1 or d2.  A point comes once for
-  each atom and row that hold it, and one set drops the repeats.  Then,
-  one survivor at a time, the singleton condition at coordinate 3 and
-  ``del_pezzo_quick`` decide: at (40, 80) 11,011 points reach that loop
-  and 3,854 ``del_pezzo_quick``.
+  conditions at coordinates 2 and 0 (``_prefix_singletons``) and all 25
+  gcd conditions of ``wellformed`` (``_well_formed``).  A point comes once
+  for each atom that holds it, and one set drops the repeats.  Then, one
+  survivor at a time, the singleton condition at coordinate 3 and
+  ``del_pezzo_quick`` decide: at (40, 80) 2,318 points reach that loop
+  and 766 ``del_pezzo_quick``.
   A batch holds 128 triples, 64 at the paper's bound, and needs under
   1 MiB (see ``_BATCH_CELLS``).
 
@@ -86,7 +88,7 @@ import numpy as np
 
 from .classifier import Candidate, del_pezzo_quick
 from .quasismooth import _singleton_ok
-from .wellformed import _GCD_CONDITIONS, SINGLE_GCD
+from .wellformed import _GCD_CONDITIONS, PAIR_GCD, SINGLE_GCD, TRIPLE_GCD, _gcd_violated
 
 if TYPE_CHECKING:
     from .families import FamilyMatch
@@ -180,10 +182,11 @@ class EnumerationResult:
 # (``_residue_classes``) take one byte for each of a triple's three moduli
 # and each residue up to max_a4, 96 kB for 64 triples at the bound; they
 # are built after the kernel ran.  Under tracemalloc, every chunk of
-# (40, 80) peaks at most at 637 kB (a0 = 18), and the (500, 1000) chunks
-# a0 = 350, 420 and 450, in batches of 64 triples, at 965, 659 and
-# 582 kB; at a0 = 350 that is the kernel's own peak.  Tests hold every
-# (40, 80) chunk and a0 = 450 under 1 MiB, and a0 = 350 under WCIDP_SLOW.
+# (40, 80) peaks at most at 569 kB (a0 = 14), and the (500, 1000) chunks
+# a0 = 350, 420 and 450, in batches of 64 triples, at 932, 626 and
+# 564 kB; at a0 = 350 that is the kernel's own peak (920 kB).  Tests hold
+# every (40, 80) chunk and a0 = 450 under 1 MiB, and a0 = 350 under
+# WCIDP_SLOW.
 # At (40, 80) batches of 256 triples peaked at 1.26 MB, and batches of 32
 # made 378 kernel calls where 128 make 112, and took 0.59 against 0.46 s.
 _BATCH_CELLS = 1 << 18
@@ -192,9 +195,10 @@ _BATCH_CELLS = 1 << 18
 # ---------------------------------------------------------------------------
 # the weight tuples of a chunk, for both modes
 
-# The four-weight subsets, whose gcds must be 1: the weight-only gcd
-# conditions.
-_QUADRUPLES = [kept for kind, kept, _ in _GCD_CONDITIONS if kind == SINGLE_GCD]
+# The weights that wellformed's gcd conditions keep, by kind: ten pairs, ten
+# triples and five quadruples.  The quadruples' gcds must be 1: the
+# weight-only gcd conditions.
+_KEPT = {kind: [kept for k, kept, _ in _GCD_CONDITIONS if k == kind] for kind in (TRIPLE_GCD, PAIR_GCD, SINGLE_GCD)}
 
 
 @cache
@@ -216,7 +220,7 @@ def _sorted_tuples(max_a4: int, a0: int, width: int, size: int) -> Iterator[np.n
     and filtered in pieces of at most ``size``, so that, beside the cached
     table, the stream holds under two batches."""
     tails = _sorted_tails(max_a4, width)
-    quadruples = np.array([kept for kept in _QUADRUPLES if kept[3] < width], dtype=np.intp).reshape(-1, 4)
+    quadruples = np.array([kept for kept in _KEPT[SINGLE_GCD] if kept[3] < width], dtype=np.intp).reshape(-1, 4)
     held = np.empty((width, 0), dtype=np.int64)
     for a1 in range(a0, max_a4 + 1):
         # The sorted tails with a2 >= a1 are a suffix of the table.
@@ -280,6 +284,19 @@ _SIDE2 = np.array([r == 0 or r >= 6 for r in range(15)])
 # a4 = a3 + 1: there rows 3..5 and 9..11 read (a_x + a3, 2*a3), as rows
 # 6..8 do, and rows 13 and 14 read (2*a3, 2*a3), as row 12 does.
 _ABOVE = np.array([r in (3, 4, 5, 9, 10, 11, 13, 14) for r in range(15)], dtype=np.int32)
+# The rows that equal weights make equal to an earlier row, which a batch
+# does not solve: where a0 = a1 (first line), rows 2, 4, 7 and 10 are rows
+# 1, 3, 6 and 9; where a1 = a2 (second line), rows 1, 5, 8 and 11 are rows
+# 0, 4, 7 and 10.  The atoms of either row keep every point of it that
+# meets singleton 3; rows 0 and 1 read their shifts on different sides,
+# so the points they keep beside those may differ.
+_REPEATS = np.array([[r in (2, 4, 7, 10) for r in range(15)], [r in (1, 5, 8, 11) for r in range(15)]])
+# The one row whose atom with k = 0 a batch keeps, and whose atoms with
+# k >= 1 it drops: row 12, where a3 | d1 = 2*a3 holds everywhere, so that
+# its column of a4 holds every point of the row's lines.  Elsewhere k = 0
+# only in the atoms a3 | d1 = a_x + a3 of rows 6..8, that is a3 | a_x,
+# which a3 >= a2 meets only at a3 = a_x = a2, where those rows are row 12.
+_COLUMN_ROW = np.array([r == 12 for r in range(15)])
 
 
 class _Runs:
@@ -379,23 +396,25 @@ def _line_runs(P: np.ndarray, k: np.ndarray, a2: np.ndarray, b0: np.ndarray, roo
     _narrow(lo, hi, _M.take(r) * u - k * _BETA.take(r), k * b0.take(atom) + _M.take(r) * P)
     _narrow(lo, hi, _K2.take(r) * u + k * _C2[3].take(r), k * room.take(atom) + _K2.take(r) * P)
     # k*a4 = u*a3 - P needs u*a3 = P modulo k: every a3, every other, or none.
-    step = k // np.gcd(u, k)
-    a3 = lo + (P - u * lo) % step
-    count = np.where((u * a3 - P) % k == 0, (hi - a3) // step + 1, 0)
+    # As k is 1 or 2, a quotient or remainder by k is a shift by s = k >> 1
+    # or a mask by s, and the step k / gcd(u, k) is 1 + odd, with odd = 1
+    # where k = 2 and u is odd: one by odd is a shift or mask too.
+    s = k >> 1
+    odd = u & s
+    a3 = lo + ((P - u * lo) & odd)
+    count = np.where((u * a3 - P) & s == 0, ((hi - a3) >> odd) + 1, 0)
     run = np.flatnonzero(count > 0)
-    atom, u, P, k, a3, step, count = (x.take(run) for x in (atom, u, P, k, a3, step, count))
-    return atom, a3, (u * a3 - P) // k, step, u * step // k, count
+    atom, u, P, s, odd, a3, count = (x.take(run) for x in (atom, u, P, s, odd, a3, count))
+    return atom, a3, (u * a3 - P) >> s, odd + 1, (u + u * odd) >> s, count
 
 
 def _column_runs(P: np.ndarray, k: np.ndarray, a2: np.ndarray, b0: np.ndarray, room: np.ndarray,
                  r: np.ndarray, max_a4: int) -> tuple[np.ndarray, ...]:
     """The runs of the atoms with k = 0, as ``_line_runs`` gives them.
-    These are a3 | d1 in rows 6..8 and 12, none of them in ``_ABOVE``,
-    where d1 = a_x + a3 or 2*a3.  a3 >= a2 divides a_x only at
-    a3 = a_x = a2, where those rows are row 12, so only row 12's atom,
-    P = 0, is kept: each a3 whose lowest a4, a3 itself, lies in the box
-    keeps its column of a4 up to the bounds."""
-    atom = np.flatnonzero((k == 0) & (P == 0)).astype(np.int32)
+    The batch keeps only row 12's, a3 | d1 = 2*a3, P = 0 (``_COLUMN_ROW``),
+    which is not in ``_ABOVE``: each a3 whose lowest a4, a3 itself, lies in
+    the box keeps its column of a4 up to the bounds."""
+    atom = np.flatnonzero(k == 0).astype(np.int32)
     a2, b0, room, r = a2.take(atom), b0.take(atom), room.take(atom), r.take(atom)
     m, beta, k2, alpha2 = _M.take(r), _BETA.take(r), _K2.take(r), _C2[3].take(r)
     lo, hi = a2.copy(), np.full(atom.size, max_a4, dtype=a2.dtype)
@@ -423,9 +442,11 @@ def _candidates_fast(t: np.ndarray, max_a4: int, max_d2: int) -> _Runs:
     is a family of lines in the (a3, a4) plane (``_line_runs``), with k = 0
     whole columns of a4 (``_column_runs``).
     Returns the points of every line and column as ``_Runs``.  A point that
-    meets several atoms, or several rows that equal weights make equal,
-    comes once for each.  The work is in int32, whose range holds every
-    value for max_a4 up to about 10^7; no pattern has d2 > 2*max_a4.
+    meets several atoms comes once for each; a row that equal weights make
+    equal to an earlier row (``_REPEATS``), and row 12's lines, which its
+    column covers (``_COLUMN_ROW``), give none.  The work is in int32,
+    whose range holds every value for max_a4 up to about 10^7; no pattern
+    has d2 > 2*max_a4.
     """
     t, max_d2 = t.astype(np.int32), min(max_d2, 2 * max_a4)
     p1, p2 = t.T @ _C1[:3], t.T @ _C2[:3]
@@ -434,9 +455,16 @@ def _candidates_fast(t: np.ndarray, max_a4: int, max_d2: int) -> _Runs:
     k = np.stack((_K1, _K2, k_side, k_side, k_side), axis=1)
     # A key 4*P + k per atom (0 <= k <= 2), sorted along the row, shows its
     # repeats: in rows 3..5, a3 | d2 and a3 | d1 - a_x are both a3 | a4.
+    # An atom is kept where it repeats no atom of its row, where it has
+    # k = 0 exactly if its row is row 12 (``_COLUMN_ROW``), and where its
+    # row repeats no earlier row (``_REPEATS``): every point of a dropped
+    # atom that meets singleton 3 is a point of a kept one.
     key = np.sort(4 * P + k, axis=2)
-    fresh = np.ones(key.shape, dtype=bool)
-    fresh[:, :, 1:] = key[:, :, 1:] != key[:, :, :-1]
+    fresh = np.empty(key.shape, dtype=bool)
+    fresh[:, :, 0] = True
+    np.not_equal(key[:, :, 1:], key[:, :, :-1], out=fresh[:, :, 1:])
+    fresh &= ((key & 3) == 0) == _COLUMN_ROW[:, None]
+    fresh &= ~((t[0] == t[1])[:, None] & _REPEATS[0] | (t[1] == t[2])[:, None] & _REPEATS[1])[:, :, None]
     # Flat indices are cheaper than 2-D ones: an atom's triple j and row r
     # come from one index jr = 15*j + r into the raveled (n, 15) arrays.
     # numpy divides by a constant far faster than it takes a remainder.
@@ -489,11 +517,17 @@ def _candidates_reference(t: np.ndarray, max_a4: int, max_d2: int) -> _Runs:
 # d2: bit e < 5 of a hit byte says that d - a_e is a non-negative multiple
 # of a_i, and bit 5 that a_i divides d.  _SINGLETON_OK[h1 << 6 | h2] holds
 # when a_i divides d1 or d2, or some e != f has a hit e at d1 and a hit f at
-# d2.
-_SINGLETON_OK = np.array([
-    bool((h1 | h2) & 32) or any(h1 >> e & h2 >> f & 1 for e in range(5) for f in range(5) if e != f)
-    for h1 in range(64) for h2 in range(64)
-])
+# d2: when both sets of hits are non-empty and are not one and the same
+# index.  Read in that closed form, the table takes a fraction of a
+# millisecond at import.
+def _singleton_table() -> np.ndarray:
+    h = np.arange(64)
+    s1, s2 = h[:, None] & 31, h & 31
+    pair = (s1 != 0) & (s2 != 0) & ((s1 != s2) | (s2 & (s2 - 1) != 0))
+    return (((h[:, None] | h) & 32 != 0) | pair).ravel()
+
+
+_SINGLETON_OK = _singleton_table()
 _HIT_BITS = (1 << np.arange(5)).astype(np.uint8)
 
 
@@ -563,16 +597,28 @@ def _packed(pieces: Iterator[np.ndarray], size: int) -> Iterator[np.ndarray]:
         yield buf[:, :n]
 
 
-def _top_pair_gcd_ok(w: np.ndarray, d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
+# The kept weights of _KEPT as columns of indices: the pairs into the
+# weights, the triples as (pair, weight) and the quadruples as
+# (pair, pair), a pair standing for its place in the pairs' gcds.
+_PAIR_AT = {kept: i for i, kept in enumerate(_KEPT[TRIPLE_GCD])}
+_PAIRS = np.array(_KEPT[TRIPLE_GCD]).T
+_TRIPLES = np.array([(_PAIR_AT[kept[:2]], kept[2]) for kept in _KEPT[PAIR_GCD]]).T
+_QUADS = np.array([(_PAIR_AT[kept[:2]], _PAIR_AT[kept[2:]]) for kept in _KEPT[SINGLE_GCD]]).T
+
+
+def _well_formed(w: np.ndarray, d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
     """Whether each column of weights w, (5, m), and its degrees d1, d2
-    meet the first of wellformed's gcd conditions: a triple-gcd condition
-    on the kept weights (3, 4), so gcd(a3, a4) divides d1 or d2.  On shaped
-    candidates it can fail only in rows 0..2, where it reads
-    gcd(a3, a4) | a_x or a_y: every other row has d2 = a3 + a4 or 2*a4.
-    Well-formedness needs it, and ``del_pezzo_quick`` still decides every
-    candidate it keeps."""
-    g = np.gcd(*(w[i] for i in _GCD_CONDITIONS[0][1]))
-    return (d1 % g == 0) | (d2 % g == 0)
+    meet all 25 gcd conditions of ``wellformed``, read by its own
+    ``_gcd_violated``: the gcds of the ten pairs of weights come from one
+    call, and those of the triples and quadruples each from one more, on
+    the pairs' gcds."""
+    g2 = np.gcd(w[_PAIRS[0]], w[_PAIRS[1]])
+    g3 = np.gcd(g2[_TRIPLES[0]], w[_TRIPLES[1]])
+    g4 = np.gcd(g2[_QUADS[0]], g2[_QUADS[1]])
+    bad = _gcd_violated(SINGLE_GCD, g4, d1, d2).any(axis=0)
+    bad |= _gcd_violated(PAIR_GCD, g3, d1, d2).any(axis=0)
+    bad |= _gcd_violated(TRIPLE_GCD, g2, d1, d2).any(axis=0)
+    return ~bad
 
 
 def _masked_points(t: np.ndarray, runs: _Runs) -> set[tuple[int, ...]]:
@@ -581,19 +627,20 @@ def _masked_points(t: np.ndarray, runs: _Runs) -> set[tuple[int, ...]]:
 
     Every pattern has d2 > a4 and d1 >= a0 + a3 > a3, so the one linear
     cone left to rule out is d1 = a4 (c[3] = c[2]).  Singleton 1 keeps the
-    fewest points (21 % of those past the cone at (40, 80), against 30 %
-    for singleton 2 and 41 % for singleton 0), so it goes first, with the
+    fewest points (21 % of those past the cone at (40, 80), against 29 %
+    for singleton 2 and 42 % for singleton 0), so it goes first, with the
     cone test, on every slice.  Their survivors are packed into buffers of
-    _BATCH_CELLS >> 7 = 2048 points, and only those meet singletons 2 and 0,
-    the four-weight gcds and gcd(a3, a4) | d1 or d2 (``_top_pair_gcd_ok``).
-    At (40, 80) that last test cuts the distinct points handed on from
-    20,481 to 11,011, and the calls of ``del_pezzo_quick`` from 11,604 to
-    3,854.  Masks are applied with ``compress``, cheaper than boolean
-    indexing.  The residue classes are built after the kernel ran,
-    so that they and the kernel's arrays are never held at once."""
+    _BATCH_CELLS >> 7 = 2048 points, and only those meet singletons 2 and 0
+    and then the 25 gcd conditions of well-formedness (``_well_formed``).
+    At (40, 80) the gcd mask keeps 2,638 of the 48,013 points that pass
+    singletons 2 and 0, 2,318 distinct ones, where the four-weight
+    conditions and gcd(a3, a4) | d1 or d2 alone would keep 9,846, and it
+    cuts the calls of ``del_pezzo_quick`` from 3,854 to 766.  Masks are
+    applied with ``compress``, cheaper than boolean indexing.  The residue
+    classes are built after the kernel ran, so that they and the kernel's
+    arrays are never held at once."""
     found = set()
     hits = t.astype(np.int32), _residue_classes(t)
-    quadruples = np.array(_QUADRUPLES)
 
     # Through ``map``, unlike a generator expression, no slice is held once
     # it is masked, while the next one is made.
@@ -603,9 +650,7 @@ def _masked_points(t: np.ndarray, runs: _Runs) -> set[tuple[int, ...]]:
     for c in _packed(map(passed, runs.slices(_BATCH_CELLS >> 6)), _BATCH_CELLS >> 7):
         c = c.compress(_prefix_singletons(hits, c, np.ones(c.shape[1], dtype=bool), (2, 0)), axis=1)
         w = np.concatenate((hits[0].take(c[0], axis=1), c[1:3]))
-        keep = _top_pair_gcd_ok(w, c[3], c[4])
-        keep &= (np.gcd.reduce(w[quadruples], axis=1) == 1).all(axis=0)
-        found.update(zip(*c.compress(keep, axis=1).tolist()))
+        found.update(zip(*c.compress(_well_formed(w, c[3], c[4]), axis=1).tolist()))
     return found
 
 
@@ -685,10 +730,10 @@ def _exhaustive_tuple_solutions(w: np.ndarray, max_d2: int) -> list[tuple[int, .
     ``_BATCH_CELLS`` cells (at least one tuple), and only the flat indices
     of each block's survivors are kept, joined in (tuple, d1, d2) order.
     Coordinates 3..0 then filter the survivors of the whole batch at once:
-    numpy decides the singleton conditions, the linear cones and amplitude,
-    and ``del_pezzo_quick`` the rest.  Results come
-    in (tuple, d1, d2) order, so a batch gives the concatenation of what its
-    columns give one at a time.
+    numpy decides the singleton conditions, the linear cones, amplitude and
+    well-formedness (``_well_formed``), and ``del_pezzo_quick`` the rest.
+    Results come in (tuple, d1, d2) order, so a batch gives the
+    concatenation of what its columns give one at a time.
     """
     total = w.sum(axis=0)
     dmax = min(max_d2, int(total.max()) - 2)
@@ -715,8 +760,10 @@ def _exhaustive_tuple_solutions(w: np.ndarray, max_d2: int) -> list[tuple[int, .
     ok = np.ones(len(k), dtype=bool)
     for i in (3, 2, 1, 0):
         ok &= (lead[i].ravel()[at1] & trail[i].ravel()[at2]) != 0
+    w, d1, d2 = w[:, k[ok]], d1[ok], d2[ok]
+    ok = _well_formed(w, d1, d2)
     sols = []
-    for a, d1, d2 in zip(map(tuple, w[:, k[ok]].T.tolist()), d1[ok].tolist(), d2[ok].tolist()):
+    for a, d1, d2 in zip(map(tuple, w[:, ok].T.tolist()), d1[ok].tolist(), d2[ok].tolist()):
         if del_pezzo_quick(a, d1, d2):
             sols.append((*a, d1, d2))
     return sols

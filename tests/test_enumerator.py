@@ -25,13 +25,13 @@ from wcidp.enumerator import (
     _solve_exhaustive_chunk,
     _solve_shaped_chunk,
     _sorted_tuples,
-    _top_pair_gcd_ok,
+    _well_formed,
     degree_shapes,
     enumerate_solutions,
     sporadic,
 )
 from wcidp.quasismooth import _singleton_ok
-from wcidp.wellformed import _GCD_CONDITIONS, _gcd_violated
+from wcidp.wellformed import _GCD_CONDITIONS, _gcd_violated, is_well_formed
 
 
 def keys(result):
@@ -68,18 +68,41 @@ def candidate_sets(triples, max_a4, max_d2, generator=_candidates_fast, batch=51
     return sets
 
 
+def meets_singleton_3(w, d1, d2):
+    """Whether each column of weights w, (5, m), and its degrees meet the
+    singleton condition at coordinate 3 as it is defined: a3 divides d1 or
+    d2, or d1 - a_e and d2 - a_f are non-negative multiples of a3 for some
+    e != f."""
+    a3 = w[3]
+    hit1 = [(d1 >= ae) & ((d1 - ae) % a3 == 0) for ae in w]
+    hit2 = [(d2 >= af) & ((d2 - af) % a3 == 0) for af in w]
+    met = (d1 % a3 == 0) | (d2 % a3 == 0)
+    for e in range(5):
+        for f in range(5):
+            if e != f:
+                met |= hit1[e] & hit2[f]
+    return met
+
+
 def pinned_digest(triples, max_a4, max_d2, batch=64):
-    """The number of points the kernel emits for the triples, and the
-    sha256 of them all as int64 rows (triple's index, a3, a4, d1, d2),
-    sorted."""
-    h = hashlib.sha256()
-    total = 0
+    """Two pins of the kernel's points for the triples, each the number of
+    points and the sha256 of them as int64 rows (triple's index, a3, a4,
+    d1, d2), sorted: of every point it emits, repeats kept, and of the
+    distinct points that meet the singleton condition at coordinate 3."""
+    emitted, met = hashlib.sha256(), hashlib.sha256()
+    total = kept = 0
     for lo in range(0, len(triples), batch):
-        c = points(_candidates_fast(np.array(triples[lo:lo + batch]).T, max_a4, max_d2)).astype(np.int64)
-        c[0] += lo
+        t = np.array(triples[lo:lo + batch]).T
+        c = points(_candidates_fast(t, max_a4, max_d2)).astype(np.int64)
         total += c.shape[1]
-        h.update(np.ascontiguousarray(c[:, np.lexsort(c[::-1])].T).tobytes())
-    return total, h.hexdigest()
+        d = np.unique(c, axis=1)
+        d = d[:, meets_singleton_3(np.concatenate((t[:, d[0]], d[1:3])), d[3], d[4])]
+        kept += d.shape[1]
+        c[0] += lo
+        d[0] += lo
+        emitted.update(np.ascontiguousarray(c[:, np.lexsort(c[::-1])].T).tobytes())
+        met.update(np.ascontiguousarray(d.T).tobytes())
+    return (total, emitted.hexdigest()), (kept, met.hexdigest())
 
 
 def missed_by_the_kernel(triples, max_a4, max_d2):
@@ -145,14 +168,19 @@ def chunk_cost(max_a4, max_d2, mode, a0):
         tracemalloc.stop()
 
 
-def summarize(what, cpu, peak):
-    """Append a line on a memory guard's chunk to the file GITHUB_STEP_SUMMARY
-    names, when it is set, as CI sets it for the job summary."""
+def summarize(line):
+    """Append the line to the file GITHUB_STEP_SUMMARY names, when it is
+    set, as CI sets it for the job summary."""
     path = os.environ.get("GITHUB_STEP_SUMMARY")
     if path:
         with open(path, "a") as summary:
-            print(f"{what}: {cpu:.2f} s CPU, tracemalloc peak {peak} B of the 1 MiB guard "
-                  f"({(1 << 20) - peak} B to spare)", file=summary)
+            print(line, file=summary)
+
+
+def summarize_guard(what, cpu, peak):
+    """Summarize a memory guard's chunk: its CPU seconds and peak."""
+    summarize(f"{what}: {cpu:.2f} s CPU, tracemalloc peak {peak} B of the 1 MiB guard "
+              f"({(1 << 20) - peak} B to spare)")
 
 
 def test_bounds_validation():
@@ -282,29 +310,34 @@ def test_kernel_keeps_every_reference_candidate_that_meets_singleton_3_at_the_fu
 def test_fast_candidate_sets_at_30_60_are_pinned():
     # The kernel's points for every triple of (30, 60), in triple order.  A
     # change to how it solves for (a3, a4) may make it faster or shorter,
-    # but must leave every set as it is.
+    # and so move the first pin, of every point it emits; it must not move
+    # the second, of the distinct points that meet singleton 3, which the
+    # search needs.
     assert pinned_digest(weight_triples(30, range(1, 31)), 30, 60) == (
-        411_940, "5d90589d2f666423569bfc7d69287dbf89e266b165ff248537027720a08ec1af")
+        (370_484, "b757f22245804afb6ad9167bedf689a6ed1cd0a15bee545c5109029dba5c4a4a"),
+        (264_913, "7b13be4fd67387a789a6057c7bf1d3db346d00fd5a2d0210acf4d52d27a4a3a2"))
 
 
-@pytest.mark.parametrize("a0, size, pin", [
-    pytest.param(450, 1_326, (632_515, "a47d985cdd570347497c426db5c386d8fd0249a50ad3e8f422edccba8c8e6808"),
-                 id="450"),
-    pytest.param(480, 231, (34_540, "0395603f4f86ccc4292c68e9d9970259f3e6098664c7f2f23d963c202ce979eb"),
-                 id="480"),
-    pytest.param(499, 3, (53, "239728038853390d50c7741064c296343a918cb905378af85080ca720bb3ecd7"), id="499"),
-    pytest.param(420, 3_321, (3_169_915, "89b5bbe3c976e1dea19a3a42cb4348790e4c9acf34b962c0d4a858acaffa377b"),
+@pytest.mark.parametrize("a0, size, emitted, met", [
+    pytest.param(450, 1_326, (596_530, "c475bf0f4d319101cfe422cb07cbdbc5a7865558890f9702cc1d110f4061d591"),
+                 (528_993, "67a122644f10db097d58eadd3459822a0b7d1ba709fb01a5e561435a72d248a6"), id="450"),
+    pytest.param(480, 231, (30_590, "310c8f3f409d4b6e02ed56f332f99f8d222965ec86b7cb56e042de81ea11bb9e"),
+                 (24_923, "5719cd28a9787f63c1a3883b3980ec4ab2fc685d77e7d1349059e0a72b3b38fd"), id="480"),
+    pytest.param(499, 3, (26, "4f8fc8bfc3d333e7989d42e4d610d8d303b7567ea11367e6b8e943bcc970c4e3"),
+                 (10, "20f5a1dccc4a731e05fe782d1d0da5f474882a433466cb312bc4e23c837b0f80"), id="499"),
+    pytest.param(420, 3_321, (3_046_545, "cabd4ca15d74c178bab64d9b09ea29339a29f466f9ff916e7b82624394967069"),
+                 (2_790_088, "8baeca87b83b257b5c677334638bc13c752d272d3f0ba3dbf452610bd92052ae"),
                  id="420", marks=pytest.mark.skipif(not os.environ.get("WCIDP_SLOW"),
-                                                    reason="the a0 = 420 chunk takes about 2 s; "
+                                                    reason="the a0 = 420 chunk takes about 6 s; "
                                                            "set WCIDP_SLOW=1")),
 ])
-def test_fast_candidate_sets_of_full_bound_chunks_are_pinned(a0, size, pin):
+def test_fast_candidate_sets_of_full_bound_chunks_are_pinned(a0, size, emitted, met):
     # The same at the paper's bound (500, 1000), for the chunks a0 = 450,
     # 480, 499 (the bound's last three triples) and 420: moduli a3 and a2
     # up to 500 reach lines and columns that (30, 60) never does.
     triples = weight_triples(500, [a0])
     assert len(triples) == size
-    assert pinned_digest(triples, 500, 1000) == pin
+    assert pinned_digest(triples, 500, 1000) == (emitted, met)
 
 
 def test_fast_candidate_sets_do_not_depend_on_the_batch():
@@ -532,7 +565,7 @@ def test_exhaustive_chunk_memory_stays_within_the_stated_budget():
     # chunk, a0 = 1.  The first run builds the cached tables, which are not
     # the batch's.
     cpu, peak = chunk_cost(20, 40, "exhaustive", 1)
-    summarize("exhaustive chunk a0 = 1 of (20, 40)", cpu, peak)
+    summarize_guard("exhaustive chunk a0 = 1 of (20, 40)", cpu, peak)
     assert peak <= 1 << 20, peak
 
 
@@ -551,12 +584,11 @@ def test_prefix_singleton_masks_equal_the_predicate_on_every_30_60_candidate():
                 assert mask == expected, (a0, i)
 
 
-def test_top_pair_gcd_mask_equals_the_wellformed_table_on_every_30_60_candidate():
+def test_well_formed_mask_equals_the_wellformed_table_on_every_30_60_candidate():
     # On every point of (30, 60) that meets the cone test and the singleton
-    # masks, the gcd(a3, a4) mask keeps exactly what wellformed's own
-    # condition on the kept weights (3, 4) admits, and so drops no
-    # candidate that del_pezzo_quick accepts.
-    [(kind, kept)] = [(kind, kept) for kind, kept, _ in _GCD_CONDITIONS if kept == (3, 4)]
+    # masks, the gcd mask keeps exactly what wellformed's 25 conditions
+    # admit, each read by its own _gcd_violated, and what is_well_formed
+    # admits; so it drops no candidate that del_pezzo_quick accepts.
     seen = dropped = accepted = 0
     for a0 in range(1, 31):
         for t in _sorted_tuples(30, a0, 3, 32):
@@ -564,16 +596,18 @@ def test_top_pair_gcd_mask_equals_the_wellformed_table_on_every_30_60_candidate(
             hits = t.astype(np.int32), _residue_classes(t)
             c = c[:, _prefix_singletons(hits, c, c[3] != c[2], (1, 2, 0))]
             w = np.concatenate((hits[0][:, c[0]], c[1:3]))
-            mask = _top_pair_gcd_ok(w, c[3], c[4]).tolist()
+            mask = _well_formed(w, c[3], c[4]).tolist()
             for a, d1, d2, ok in zip(map(tuple, w.T.tolist()), c[3].tolist(), c[4].tolist(), mask):
                 seen += 1
-                assert ok == (not _gcd_violated(kind, gcd(*(a[i] for i in kept)), d1, d2)), (a, d1, d2)
+                admitted = not any(_gcd_violated(kind, gcd(*(a[i] for i in kept)), d1, d2)
+                                   for kind, kept, _ in _GCD_CONDITIONS)
+                assert ok == admitted == is_well_formed(a, d1, d2), (a, d1, d2)
                 if del_pezzo_quick(a, d1, d2):
                     accepted += 1
                     assert ok, (a, d1, d2)
                 dropped += not ok
-    # Points come once for each atom and row that hold them.
-    assert (seen, dropped, accepted) == (31_913, 10_797, 486)
+    # Points come once for each atom that holds them.
+    assert (seen, dropped, accepted) == (26_472, 24_969, 447)
 
 
 def test_shaped_chunk_memory_stays_within_the_stated_budget():
@@ -583,8 +617,8 @@ def test_shaped_chunk_memory_stays_within_the_stated_budget():
     # batch's.
     costs = {a0: chunk_cost(40, 80, "shaped", a0) for a0 in range(1, 41)}
     a0, (_, peak) = max(costs.items(), key=lambda item: item[1][1])
-    summarize(f"shaped chunks of (40, 80), highest peak at a0 = {a0}",
-              sum(cpu for cpu, _ in costs.values()), peak)
+    summarize_guard(f"shaped chunks of (40, 80), highest peak at a0 = {a0}",
+                    sum(cpu for cpu, _ in costs.values()), peak)
     assert peak <= 1 << 20, (a0, peak)
 
 
@@ -592,11 +626,11 @@ def test_shaped_chunk_memory_stays_within_the_stated_budget_at_the_full_bound(mo
     # The same at the paper's bound (500, 1000), on the chunk a0 = 450,
     # whose moduli reach 500: there a batch holds 64 triples, and building
     # their residue classes takes most of the budget.  A first run pins
-    # what the chunk loop hands its stages: 1,326 triples and 632,515
-    # points to the kernel, and no candidate to del_pezzo_quick: the
-    # gcd(a3, a4) mask drops the 28 points that pass every other mask,
-    # none of them well-formed.  So no singleton test is made, and the
-    # chunk has no solution.
+    # what the chunk loop hands its stages: 1,326 triples and 596,530
+    # points to the kernel, and no candidate to del_pezzo_quick: the gcd
+    # mask drops the 180 points that pass the cone test and the singleton
+    # masks, none of them well-formed.  So no singleton test is made, and
+    # the chunk has no solution.
     counts = {}
     with monkeypatch.context() as patch:
         count(patch, counts, enumerator, "_candidates_fast", batch=True)
@@ -604,9 +638,9 @@ def test_shaped_chunk_memory_stays_within_the_stated_budget_at_the_full_bound(mo
         count(patch, counts, classifier, "_singleton_ok", size=bool)
         assert _solve_chunk((500, 1000, "shaped", 450)) == []
     # 21 batches of up to 64 triples.
-    assert counts == {"_candidates_fast": [21, 632_515, 1_326], "del_pezzo_quick": [0, 0], "_singleton_ok": [0, 0]}
+    assert counts == {"_candidates_fast": [21, 596_530, 1_326], "del_pezzo_quick": [0, 0], "_singleton_ok": [0, 0]}
     cpu, peak = chunk_cost(500, 1000, "shaped", 450)
-    summarize("shaped chunk a0 = 450 of (500, 1000), jobs=1", cpu, peak)
+    summarize_guard("shaped chunk a0 = 450 of (500, 1000), jobs=1", cpu, peak)
     assert peak <= 1 << 20, peak
 
 
@@ -616,7 +650,7 @@ def test_shaped_chunk_memory_stays_within_the_stated_budget_at_the_bound_s_large
     # a0 = 350 of (500, 1000), whose kernel peaks highest of the chunks
     # measured: there the residue classes must not be held beside it.
     cpu, peak = chunk_cost(500, 1000, "shaped", 350)
-    summarize("shaped chunk a0 = 350 of (500, 1000)", cpu, peak)
+    summarize_guard("shaped chunk a0 = 350 of (500, 1000)", cpu, peak)
     assert peak <= 1 << 20, peak
 
 
@@ -724,29 +758,42 @@ def test_stage_counts_at_20_40_are_pinned(monkeypatch):
         return keep
 
     monkeypatch.setattr(enumerator, "_prefix_singletons", narrowed)
+    count(monkeypatch, counts, enumerator, "_well_formed", size=lambda kept: int(kept.sum()))
     count(monkeypatch, counts, enumerator, "_singleton_ok", size=bool)
     count(monkeypatch, counts, enumerator, "del_pezzo_quick", size=bool)
     count(monkeypatch, counts, classifier, "is_well_formed", size=bool)
     res = enumerate_solutions(Bounds(20, 40), jobs=1)
+    # The attrition of each mode goes to CI's job summary before any pin is
+    # read, so that a moved count shows beside the failure.
+    summarize(f"shaped (20, 40): {counts['_candidates_fast'][1]:,} kernel points, "
+              f"{counts['_singleton_ok'][0]:,} reach the Python loop, del_pezzo_quick "
+              f"{counts['del_pezzo_quick'][0]:,} calls and {counts['del_pezzo_quick'][1]:,} passes")
     assert len(res.solutions) == 183
-    assert counts["_candidates_fast"][1] == 88_245
+    assert counts["_candidates_fast"][1] == 76_059
     # The 1,540 triples of (20, 40) in 25 batches of up to 128.
     assert counts["_candidates_fast"][::2] == [25, 1_540]
-    assert counts["_prefix_singletons"] == {(1,): [88_043, 33_069], (2, 0): [33_069, 13_289]}
-    # The four-weight gcd test, the gcd(a3, a4) test and the drop of
-    # repeats leave 2,450 points.
-    assert counts["_singleton_ok"] == [2_450, 1_292]
-    assert counts["del_pezzo_quick"] == [1_292, 183]
-    assert counts["is_well_formed"] == [1_292, 295]
+    assert counts["_prefix_singletons"] == {(1,): [75_857, 28_135], (2, 0): [28_135, 10_686]}
+    # The gcd mask keeps 697 of those 10,686 points, in 33 packed buffers,
+    # and the drop of repeats leaves 563.
+    assert counts["_well_formed"] == [33, 697]
+    assert counts["_singleton_ok"] == [563, 295]
+    assert counts["del_pezzo_quick"] == [295, 183]
+    assert counts["is_well_formed"] == [295, 295]
     # The exhaustive kernel hands del_pezzo_quick every pair that meets the
-    # singleton conditions, amplitude and the cone test; del_pezzo_quick
-    # makes the one well-formedness test of each.
-    counts["del_pezzo_quick"][:] = counts["is_well_formed"][:] = [0, 0]
+    # singleton conditions, amplitude, the cone test and the gcd mask, one
+    # call for each of its 169 batches; del_pezzo_quick makes the one
+    # well-formedness test of each, and none fails.
+    for name in ("_well_formed", "del_pezzo_quick", "is_well_formed"):
+        counts[name][:] = [0, 0]
     count(monkeypatch, counts, enumerator, "_exhaustive_tuple_solutions", batch=True)
     exhaustive = enumerate_solutions(Bounds(20, 40), mode="exhaustive", jobs=1)
+    summarize(f"exhaustive (20, 40): {counts['_exhaustive_tuple_solutions'][2]:,} weight tuples to the kernel, "
+              f"{counts['del_pezzo_quick'][0]:,} points reach the Python loop, del_pezzo_quick "
+              f"{counts['del_pezzo_quick'][0]:,} calls and {counts['del_pezzo_quick'][1]:,} passes")
     assert keys(exhaustive) == keys(res)
-    assert counts["del_pezzo_quick"] == [5_739, 183]
-    assert counts["is_well_formed"] == [5_739, 777]
+    assert counts["_well_formed"] == [169, 777]
+    assert counts["del_pezzo_quick"] == [777, 183]
+    assert counts["is_well_formed"] == [777, 777]
     assert counts["_exhaustive_tuple_solutions"] == [169, 183, 31_254]
 
 
@@ -756,3 +803,36 @@ def test_every_degree_pattern_meets_the_top_singleton():
     for w in combinations_with_replacement(range(1, 13), 5):
         for d1, d2 in degree_shapes(w):
             assert _singleton_ok(w, d1, d2, 4), (w, d1, d2)
+
+
+@pytest.mark.parametrize("equal", [(), (0, 1), (1, 2), (0, 1, 2)], ids=["none", "a0=a1", "a1=a2", "both"])
+def test_rows_the_kernel_skips_for_equal_weights_repeat_a_row_it_keeps(equal):
+    # A batch solves no pattern row that _REPEATS marks for a triple with
+    # a0 = a1 (its first line) or a1 = a2 (its second).  On weights equal
+    # where ``equal`` says and otherwise drawn at random, from a range so
+    # wide that no other two sums meet: each skipped row has the (d1, d2)
+    # of a row kept, and the rows kept are distinct, so no other row could
+    # be skipped.
+    rng = random.Random(len(equal) + sum(equal))
+    for _ in range(50):
+        a = sorted(rng.sample(range(1, 10 ** 9), 5))
+        for i in equal[1:]:
+            a[i] = a[equal[0]]
+        rows = [(c1 + k1 * a[4], c2 + k2 * a[4]) for k1, c1, k2, c2 in enumerator._shape_rows(*a[:4])]
+        skipped = (a[0] == a[1]) & enumerator._REPEATS[0] | (a[1] == a[2]) & enumerator._REPEATS[1]
+        kept = [row for row, skip in zip(rows, skipped.tolist()) if not skip]
+        assert len(set(kept)) == len(kept) == 15 - {(): 0, (0, 1): 4, (1, 2): 4, (0, 1, 2): 8}[equal], a
+        assert set(rows) == set(kept), a
+
+
+def test_singleton_table_follows_its_definition():
+    # Entry h1 << 6 | h2 holds when bit 5 of either byte is set (a_i
+    # divides d1 or d2), or some e != f has bit e of h1 and bit f of h2.
+    table = enumerator._SINGLETON_OK
+    assert table.dtype == bool and table.shape == (4096,)
+    for h1 in range(64):
+        for h2 in range(64):
+            hits1 = [e for e in range(5) if h1 >> e & 1]
+            hits2 = [f for f in range(5) if h2 >> f & 1]
+            expected = bool((h1 | h2) & 32) or any(e != f for e in hits1 for f in hits2)
+            assert table[h1 << 6 | h2] == expected, (h1, h2)

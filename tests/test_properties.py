@@ -3,8 +3,8 @@ predicates agree with the full reports and with their definitions, and the
 classification does not depend on the order of the input.  A sweep of small
 candidates checks that the short-circuit verdict reads every condition that
 rejects a candidate alone.  The shaped chunk loop's singleton masks never
-drop what the definition admits, nor its gcd(a3, a4) mask what
-well-formedness admits, and its generator, on weights up to 500,
+drop what the definition admits, nor the gcd mask of both search modes
+what well-formedness admits, and the generator, on weights up to 500,
 never drops a candidate that meets the singleton condition at coordinate
 3, nor, by bounding the slopes of its lines, a line that holds a point; it
 gives no point for a triple beyond the box."""
@@ -31,7 +31,7 @@ from wcidp.enumerator import (
     _candidates_reference,
     _prefix_singletons,
     _residue_classes,
-    _top_pair_gcd_ok,
+    _well_formed,
     degree_shapes,
 )
 from wcidp.quasismooth import _singleton_ok, check_qs
@@ -149,15 +149,17 @@ def test_prefix_singleton_masks_never_drop_what_the_definition_admits(batch):
 
 @FIXED
 @given(st.lists(candidates(), min_size=1, max_size=8))
-def test_top_pair_gcd_mask_equals_the_wellformed_table(cases):
-    # The gcd(a3, a4) mask of the shaped chunk loop keeps a column exactly
-    # when wellformed's own condition on the kept weights (3, 4) admits it,
-    # so it never drops a candidate that del_pezzo_quick accepts.
-    [(kind, kept)] = [(kind, kept) for kind, kept, _ in _GCD_CONDITIONS if kept == (3, 4)]
+def test_well_formed_mask_equals_the_wellformed_table(cases):
+    # The gcd mask of both search modes keeps a column exactly when none of
+    # wellformed's 25 conditions, each read by its own _gcd_violated,
+    # rejects it, and so exactly when is_well_formed admits it: it never
+    # drops a candidate that del_pezzo_quick accepts.
     w = np.array([a for a, _, _ in cases], dtype=np.int32).T
     d = np.array([(d1, d2) for _, d1, d2 in cases], dtype=np.int32).T
-    for (a, d1, d2), ok in zip(cases, _top_pair_gcd_ok(w, *d).tolist()):
-        assert ok == (not _gcd_violated(kind, gcd(*(a[i] for i in kept)), d1, d2)), (a, d1, d2)
+    for (a, d1, d2), ok in zip(cases, _well_formed(w, *d).tolist()):
+        admitted = not any(_gcd_violated(kind, gcd(*(a[i] for i in kept)), d1, d2)
+                           for kind, kept, _ in _GCD_CONDITIONS)
+        assert ok == admitted == is_well_formed(a, d1, d2), (a, d1, d2)
         assert ok or not del_pezzo_quick(a, d1, d2), (a, d1, d2)
 
 
